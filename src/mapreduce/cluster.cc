@@ -675,46 +675,4 @@ AttemptScheduleOutcome ScheduleTaskAttemptsOnCluster(
   return outcome;
 }
 
-std::vector<TaskAttemptTiming> ScheduleTaskAttempts(
-    const std::vector<std::vector<double>>& attempt_costs,
-    const std::vector<double>& slot_speeds, double start_time,
-    double seconds_per_cost_unit, const SpeculationConfig& speculation,
-    double* end_time, std::vector<double>* winning_starts) {
-  AttemptScheduleOptions options;
-  options.slot_speeds = slot_speeds;
-  options.start_time = start_time;
-  options.seconds_per_cost_unit = seconds_per_cost_unit;
-  options.speculation = speculation;
-  AttemptScheduleOutcome outcome =
-      ScheduleTaskAttemptsOnCluster(attempt_costs, options);
-  if (end_time != nullptr) *end_time = outcome.end_time;
-  if (winning_starts != nullptr) {
-    *winning_starts = std::move(outcome.winning_starts);
-  }
-  return std::move(outcome.attempts);
-}
-
-std::vector<double> ScheduleTasksHeterogeneous(
-    const std::vector<double>& costs, const std::vector<double>& slot_speeds,
-    double start_time, double seconds_per_cost_unit, double* end_time) {
-  std::vector<std::vector<double>> attempt_costs;
-  attempt_costs.reserve(costs.size());
-  for (double cost : costs) attempt_costs.push_back({cost});
-  std::vector<double> starts;
-  ScheduleTaskAttempts(attempt_costs, slot_speeds, start_time,
-                       seconds_per_cost_unit, SpeculationConfig{}, end_time,
-                       &starts);
-  return starts;
-}
-
-std::vector<double> ScheduleTasks(const std::vector<double>& costs,
-                                  int slots, double start_time,
-                                  double seconds_per_cost_unit,
-                                  double* end_time) {
-  const std::vector<double> slot_speeds(
-      static_cast<size_t>(std::max(1, slots)), 1.0);
-  return ScheduleTasksHeterogeneous(costs, slot_speeds, start_time,
-                                    seconds_per_cost_unit, end_time);
-}
-
 }  // namespace progres

@@ -182,52 +182,7 @@ struct JobTiming {
   JobWallTiming wall;
 };
 
-// FIFO-schedules tasks with the given `costs` (in cost units) onto `slots`
-// parallel slots, all available from `start_time` (seconds). Task i is
-// assigned, in index order, to the earliest-free slot — the behaviour of a
-// Hadoop task scheduler within one job. Returns the start time of each task
-// and stores the makespan end time in `*end_time`.
-std::vector<double> ScheduleTasks(const std::vector<double>& costs,
-                                  int slots, double start_time,
-                                  double seconds_per_cost_unit,
-                                  double* end_time);
-
-// Heterogeneous variant: `slot_speeds` gives each slot's speed factor; task
-// duration on a slot is cost * seconds_per_cost_unit / speed. Same FIFO
-// earliest-free-slot policy.
-std::vector<double> ScheduleTasksHeterogeneous(
-    const std::vector<double>& costs, const std::vector<double>& slot_speeds,
-    double start_time, double seconds_per_cost_unit, double* end_time);
-
-// Attempt-aware scheduler used by MapReduceJob. `attempt_costs[i]` holds the
-// cost of every executed attempt of task i in attempt order; all but the
-// last failed (an empty vector means the task does not exist and is
-// skipped). Attempts are dispatched FIFO — first attempts in task order,
-// each retry re-queued the moment its predecessor fails — onto the slot
-// that can start them earliest (ties to the lowest slot index).
-//
-// When `speculation.enabled`, slots that fall idle afterwards launch backup
-// copies of still-running winning attempts: the candidate with the largest
-// remaining time is backed up iff its remaining time exceeds
-// `speculation.min_remaining_seconds` and the backup would finish strictly
-// earlier; the earlier finisher wins (at most one backup per task, as in
-// Hadoop). The makespan counts winning attempts only — a losing straggler
-// attempt is killed when its backup completes.
-//
-// Returns every attempt (regular ones in dispatch order, then speculative
-// ones in launch order). `*end_time` receives the makespan;
-// `*winning_starts`, if non-null, the start time of each task's winning
-// attempt. With single-attempt inputs and speculation off this degenerates
-// to exactly ScheduleTasksHeterogeneous.
-std::vector<TaskAttemptTiming> ScheduleTaskAttempts(
-    const std::vector<std::vector<double>>& attempt_costs,
-    const std::vector<double>& slot_speeds, double start_time,
-    double seconds_per_cost_unit, const SpeculationConfig& speculation,
-    double* end_time, std::vector<double>* winning_starts);
-
-// Inputs of the machine-aware scheduler beyond the attempt-cost chains.
-// With no machine failures, zero backoff and blacklisting off, the schedule
-// is bit-identical to ScheduleTaskAttempts.
+// Inputs of the attempt scheduler beyond the attempt-cost chains.
 struct AttemptScheduleOptions {
   std::vector<double> slot_speeds;
   // Slots [m*slots_per_machine, (m+1)*slots_per_machine) belong to machine
@@ -326,9 +281,27 @@ struct AttemptScheduleOutcome {
   double replayed_cost_units = 0.0;
 };
 
-// Machine-aware attempt scheduler: ScheduleTaskAttempts plus machine-level
-// fault domains, exponential retry backoff, machine blacklisting and
-// checkpoint-aware recovery of machine-killed attempts.
+// Attempt-aware scheduler used by MapReduceJob. `attempt_costs[i]` holds the
+// cost of every executed attempt of task i in attempt order; all but the
+// last failed (an empty vector means the task does not exist and is
+// skipped). Attempts are dispatched FIFO — first attempts in task order,
+// each retry re-queued the moment its predecessor fails — onto the slot
+// that can start them earliest (ties to the lowest slot index); a task's
+// duration on a slot is cost * seconds_per_cost_unit / slot speed.
+//
+// When `speculation.enabled`, slots that fall idle afterwards launch backup
+// copies of still-running winning attempts: the candidate with the largest
+// remaining time is backed up iff its remaining time exceeds
+// `speculation.min_remaining_seconds` and the backup would finish strictly
+// earlier; the earlier finisher wins (at most one backup per task, as in
+// Hadoop). The makespan counts winning attempts only — a losing straggler
+// attempt is killed when its backup completes.
+//
+// On top of that it models machine-level fault domains, exponential retry
+// backoff, machine blacklisting and checkpoint-aware recovery of
+// machine-killed attempts. Returns every attempt (regular ones in dispatch
+// order, then speculative ones in launch order), the makespan and the start
+// time of each task's winning attempt.
 AttemptScheduleOutcome ScheduleTaskAttemptsOnCluster(
     const std::vector<std::vector<double>>& attempt_costs,
     const AttemptScheduleOptions& options);

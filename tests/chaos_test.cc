@@ -22,6 +22,7 @@
 #include "mechanism/sorted_neighbor.h"
 #include "model/entity.h"
 #include "mr_test_util.h"
+#include "test_overlays.h"
 
 namespace progres {
 namespace {
@@ -78,6 +79,7 @@ const ChaosWorld& World() {
     w->base.cluster.machines = 3;
     w->base.cluster.execution_threads = 4;
     w->base.cluster.seconds_per_cost_unit = 1e-3;
+    testing_util::ApplyTestOverlays(&w->base.cluster);
     w->base.alpha = 500.0;
     w->clean = ProgressiveEr(w->blocking, w->match, w->sn, w->prob, w->base)
                    .Run(w->data.dataset);
@@ -131,11 +133,22 @@ ShuffleBudget ChaosBudget() {
   const std::filesystem::path fallback =
       std::filesystem::temp_directory_path() / "progres_chaos_fallback";
   std::filesystem::create_directories(fallback);
-  ShuffleBudget budget;
-  budget.max_bytes = 1;
-  budget.block_bytes = 4096;
+  ShuffleBudget budget = testing_util::TinySpillBudget();
   budget.fallback_spill_dir = fallback.string();
   return budget;
+}
+
+// The *_disk_faults variant of this suite runs its clean reference out of
+// core only if the base config really spills under the overlays. (The
+// fault seeds below inject disk faults explicitly; the overlay's rates draw
+// none on the clean run's few spill runs.)
+TEST(TestOverlayTest, BaseConfigSpillsUnderOverlays) {
+  if (!testing_util::ForcedSpillOverlayActive()) {
+    GTEST_SKIP() << "PROGRES_FORCE_SPILL not set";
+  }
+  const ChaosWorld& w = World();
+  ASSERT_FALSE(w.clean.failed) << w.clean.error;
+  EXPECT_GT(w.clean.counters.Get("mr.spill.runs"), 0);
 }
 
 TEST(ChaosTest, TenSeedsResolveIdenticalNonQuarantinedPairs) {

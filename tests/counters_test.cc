@@ -7,6 +7,7 @@
 #include "mapreduce/checkpoint.h"
 #include "mapreduce/counters.h"
 #include "mapreduce/job.h"
+#include "test_overlays.h"
 
 namespace progres {
 namespace {
@@ -35,7 +36,27 @@ ClusterConfig TestCluster() {
   ClusterConfig cluster;
   cluster.machines = 2;
   cluster.execution_threads = 4;
+  testing_util::ApplyTestOverlays(&cluster);
   return cluster;
+}
+
+// The forced-spill variant of this suite checks the spill counters only if
+// TestCluster() really spills under it.
+TEST(TestOverlayTest, TestClusterSpillsUnderForcedSpillOverlay) {
+  if (!testing_util::ForcedSpillOverlayActive()) {
+    GTEST_SKIP() << "PROGRES_FORCE_SPILL not set";
+  }
+  using Job = MapReduceJob<int, int, int>;
+  std::vector<int> input;
+  for (int i = 0; i < 5000; ++i) input.push_back(i);
+  Job job(3, 2);
+  const auto result = job.Run(
+      input,
+      [](const int& record, Job::MapContext* ctx) { ctx->Emit(record, 1); },
+      [](const int&, std::vector<int>*, Job::ReduceContext*) {},
+      TestCluster());
+  ASSERT_FALSE(result.failed) << result.error;
+  EXPECT_GT(result.counters.Get("mr.spill.runs"), 0);
 }
 
 TEST(JobCountersTest, MergedAcrossTasks) {

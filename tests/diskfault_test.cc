@@ -29,7 +29,9 @@
 #include "mapreduce/trace.h"
 #include "mechanism/sorted_neighbor.h"
 #include "model/entity.h"
+#include "er_golden_util.h"
 #include "mr_test_util.h"
+#include "test_overlays.h"
 
 namespace progres {
 namespace {
@@ -120,13 +122,7 @@ ClusterConfig TestCluster(ExecutionBackend backend) {
   return cluster;
 }
 
-// One byte of headroom: every map task spills several runs on this input.
-ShuffleBudget TinyBudget() {
-  ShuffleBudget budget;
-  budget.max_bytes = 1;
-  budget.block_bytes = 4096;
-  return budget;
-}
+using testing_util::TinySpillBudget;
 
 std::vector<std::string> WordLines(int lines) {
   std::vector<std::string> input;
@@ -220,7 +216,7 @@ void CheckTransientWriteErrorsRecover(ExecutionBackend backend) {
 
   TraceRecorder trace;
   ClusterConfig cluster = TestCluster(backend);
-  cluster.shuffle_budget = TinyBudget();
+  cluster.shuffle_budget = TinySpillBudget();
   cluster.fault = TransientWriteFaults();
   cluster.trace = &trace;
   const WordJob::Result faulty = RunWordCount(cluster);
@@ -256,7 +252,7 @@ void CheckCorruptRunsRerunMaps(ExecutionBackend backend) {
 
   TraceRecorder trace;
   ClusterConfig cluster = TestCluster(backend);
-  cluster.shuffle_budget = TinyBudget();
+  cluster.shuffle_budget = TinySpillBudget();
   cluster.fault = CorruptionFaults();
   cluster.trace = &trace;
   const WordJob::Result faulty = RunWordCount(cluster);
@@ -284,7 +280,7 @@ TEST(SpillDiskFaultTest, BackendsAgreeUnderDiskFaults) {
   // Fault decisions are pure functions of the config, so the threaded run
   // must match the simulated one including the simulated timeline.
   ClusterConfig sim = TestCluster(ExecutionBackend::kSimulated);
-  sim.shuffle_budget = TinyBudget();
+  sim.shuffle_budget = TinySpillBudget();
   sim.fault = CorruptionFaults();
   sim.fault.spill_write_error_prob = 0.2;
   ClusterConfig thr = TestCluster(ExecutionBackend::kThreaded);
@@ -335,7 +331,7 @@ TEST(SpillDiskFaultTest, EnospcFailsOverToFallbackDir) {
   const SpillDirs dirs = MakeSpillDirs("progres_diskfault_enospc");
 
   ClusterConfig cluster = TestCluster(ExecutionBackend::kSimulated);
-  cluster.shuffle_budget = TinyBudget();
+  cluster.shuffle_budget = TinySpillBudget();
   cluster.shuffle_budget.spill_dir = dirs.primary.string();
   cluster.shuffle_budget.fallback_spill_dir = dirs.fallback.string();
   cluster.fault.enabled = true;
@@ -355,7 +351,7 @@ TEST(SpillDiskFaultTest, EnospcFailsOverToFallbackDir) {
 
 TEST(SpillDiskFaultTest, EnospcWithoutFallbackFailsWithALabel) {
   ClusterConfig cluster = TestCluster(ExecutionBackend::kSimulated);
-  cluster.shuffle_budget = TinyBudget();
+  cluster.shuffle_budget = TinySpillBudget();
   cluster.fault.enabled = true;
   cluster.fault.spill_enospc_prob = 1.0;
   const WordJob::Result result = RunWordCount(cluster);
@@ -371,7 +367,7 @@ TEST(SpillDiskFaultTest, ExhaustedRetriesFailOverAndRecover) {
   const SpillDirs dirs = MakeSpillDirs("progres_diskfault_retries");
 
   ClusterConfig cluster = TestCluster(ExecutionBackend::kSimulated);
-  cluster.shuffle_budget = TinyBudget();
+  cluster.shuffle_budget = TinySpillBudget();
   cluster.shuffle_budget.spill_dir = dirs.primary.string();
   cluster.shuffle_budget.fallback_spill_dir = dirs.fallback.string();
   cluster.fault.enabled = true;
@@ -390,7 +386,7 @@ TEST(SpillDiskFaultTest, ExhaustedRetriesFailOverAndRecover) {
 
 TEST(SpillDiskFaultTest, ExhaustedRetriesWithoutFallbackFailTheJob) {
   ClusterConfig cluster = TestCluster(ExecutionBackend::kSimulated);
-  cluster.shuffle_budget = TinyBudget();
+  cluster.shuffle_budget = TinySpillBudget();
   cluster.fault.enabled = true;
   cluster.fault.spill_write_error_prob = 1.0;
   cluster.fault.max_spill_retries = 2;
@@ -732,6 +728,49 @@ TEST(DriverRestartTest, CrashedDriverProcessResumesByteIdentical) {
   // The finished run deletes its snapshots.
   EXPECT_EQ(CountEntries(dir), 0);
   std::filesystem::remove_all(dir);
+}
+
+// The storage fault domain end to end, as progres_cli runs it with
+// --spill-fault-prob=0.05 --spill-enospc-prob=0.1 and a fallback dir: under
+// a spilling budget, transient write errors, torn writes, run corruption
+// and ENOSPC failover must leave the resolved pairs byte-identical to the
+// unfaulted run, and the spill dirs empty.
+TEST(DriverDiskFaultTest, InjectedStorageFaultsLeavePairsByteIdentical) {
+  const testing_util::GoldenWorkload w = testing_util::MakeGoldenWorkload();
+  const ProbabilityModel prob =
+      ProbabilityModel::Train(w.train.dataset, w.train.truth, w.blocking);
+  const SortedNeighborMechanism sn;
+  ProgressiveErOptions base;
+  base.cluster = testing_util::GoldenCluster();
+  const ErRunResult clean =
+      ProgressiveEr(w.blocking, w.match, sn, prob, base).Run(w.data.dataset);
+  ASSERT_FALSE(clean.failed) << clean.error;
+
+  const std::filesystem::path primary = FreshDir("progres_diskfault_primary");
+  const std::filesystem::path fallback =
+      FreshDir("progres_diskfault_fallback");
+  ProgressiveErOptions options = base;
+  options.cluster.shuffle_budget = TinySpillBudget();
+  options.cluster.shuffle_budget.spill_dir = primary.string();
+  options.cluster.shuffle_budget.fallback_spill_dir = fallback.string();
+  FaultConfig& fault = options.cluster.fault;
+  fault.enabled = true;
+  fault.seed = 1;
+  fault.spill_write_error_prob = 0.05;
+  fault.spill_torn_write_prob = 0.05;
+  fault.spill_corrupt_prob = 0.05;
+  fault.spill_enospc_prob = 0.1;
+  const ErRunResult faulted =
+      ProgressiveEr(w.blocking, w.match, sn, prob, options).Run(w.data.dataset);
+  ASSERT_FALSE(faulted.failed) << faulted.error;
+
+  EXPECT_EQ(faulted.duplicates, clean.duplicates);
+  EXPECT_GT(faulted.counters.Get("mr.spill.runs"), 0);
+  EXPECT_GT(testing_util::DiskFaultTally(faulted.counters), 0);
+  EXPECT_EQ(CountEntries(primary), 0);
+  EXPECT_EQ(CountEntries(fallback), 0);
+  std::filesystem::remove_all(primary);
+  std::filesystem::remove_all(fallback);
 }
 
 }  // namespace

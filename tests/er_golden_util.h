@@ -11,7 +11,6 @@
 // diffs against them byte for byte.
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -25,19 +24,10 @@
 #include "eval/recall_curve.h"
 #include "mapreduce/trace.h"
 #include "mechanism/sorted_neighbor.h"
+#include "test_overlays.h"
 
 namespace progres {
 namespace testing_util {
-
-// The golden fixtures were frozen without the storage fault domain. The
-// PROGRES_DISK_FAULTS environment overlay injects disk faults into every
-// spilling job, which adds "mr.disk." counters and (via barrier re-runs)
-// shifts the simulated timeline — so fixture comparisons are skipped under
-// it, while the run-vs-run equivalence checks (tracing differential,
-// threaded-vs-simulated) still execute and must hold.
-inline bool DiskFaultOverlayActive() {
-  return std::getenv("PROGRES_DISK_FAULTS") != nullptr;
-}
 
 // The frozen workload: publications with a 500-entity training sample.
 struct GoldenWorkload {
@@ -161,7 +151,7 @@ inline std::vector<std::string> GoldenDriverNames() {
 // across backends, which executor_diff_test checks against the fixtures.
 // `threads` overrides GoldenCluster()'s execution_threads when > 0.
 // `budget` sets the shuffle memory budget (default: spilling off) — the
-// dump must not depend on it.
+// dump must not depend on it. The variant suites' overlays apply on top.
 inline std::string RunGoldenDriver(
     const std::string& name, TraceRecorder* trace = nullptr,
     ExecutionBackend backend = ExecutionBackend::kSimulated,
@@ -173,6 +163,7 @@ inline std::string RunGoldenDriver(
   if (threads > 0) cluster.execution_threads = threads;
   cluster.trace = trace;
   cluster.shuffle_budget = budget;
+  ApplyTestOverlays(&cluster);
   if (name == "basic") {
     // Basic uses the main blocking functions only.
     std::vector<FamilySpec> mains;

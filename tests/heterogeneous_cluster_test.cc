@@ -9,13 +9,21 @@ namespace {
 
 using testing_util::ValidateAttemptSchedule;
 
-// Wraps single-attempt per-task costs for ScheduleTaskAttempts.
-std::vector<std::vector<double>> SingleAttempts(
-    const std::vector<double>& costs) {
+// Schedules single-attempt tasks with the given costs on slots of the given
+// speeds.
+AttemptScheduleOutcome ScheduleSingleAttempts(
+    const std::vector<double>& costs, const std::vector<double>& slot_speeds,
+    double start_time, double seconds_per_cost_unit,
+    const SpeculationConfig& speculation = {}) {
   std::vector<std::vector<double>> chains;
   chains.reserve(costs.size());
   for (double c : costs) chains.push_back({c});
-  return chains;
+  AttemptScheduleOptions options;
+  options.slot_speeds = slot_speeds;
+  options.start_time = start_time;
+  options.seconds_per_cost_unit = seconds_per_cost_unit;
+  options.speculation = speculation;
+  return ScheduleTaskAttemptsOnCluster(chains, options);
 }
 
 TEST(SlotSpeedsTest, ExpandsPerMachine) {
@@ -197,49 +205,35 @@ TEST(ValidateClusterConfigTest, InvalidConfigFailsJobSubmission) {
 }
 
 TEST(ScheduleHeterogeneousTest, SlowSlotStretchesTask) {
-  double end = 0.0;
   // One slot at half speed: a 10-unit task takes 20 seconds.
-  const std::vector<double> starts =
-      ScheduleTasksHeterogeneous({10.0}, {0.5}, 0.0, 1.0, &end);
-  EXPECT_DOUBLE_EQ(starts[0], 0.0);
-  EXPECT_DOUBLE_EQ(end, 20.0);
-}
-
-TEST(ScheduleHeterogeneousTest, MatchesHomogeneousAtNominalSpeed) {
-  const std::vector<double> costs = {5.0, 9.0, 2.0, 7.0, 1.0};
-  double end_a = 0.0;
-  double end_b = 0.0;
-  const std::vector<double> a =
-      ScheduleTasks(costs, 2, 3.0, 0.5, &end_a);
-  const std::vector<double> b =
-      ScheduleTasksHeterogeneous(costs, {1.0, 1.0}, 3.0, 0.5, &end_b);
-  EXPECT_EQ(a, b);
-  EXPECT_DOUBLE_EQ(end_a, end_b);
+  const AttemptScheduleOutcome schedule =
+      ScheduleSingleAttempts({10.0}, {0.5}, 0.0, 1.0);
+  EXPECT_DOUBLE_EQ(schedule.winning_starts[0], 0.0);
+  EXPECT_DOUBLE_EQ(schedule.end_time, 20.0);
 }
 
 TEST(ScheduleHeterogeneousTest, FastSlotTakesMoreTasks) {
   // Slot 1 runs 4x faster; with many equal tasks it should absorb most of
   // them, keeping the makespan well under the homogeneous value.
   std::vector<double> costs(20, 10.0);
-  double slow_end = 0.0;
-  ScheduleTasksHeterogeneous(costs, {1.0, 1.0}, 0.0, 1.0, &slow_end);
-  double fast_end = 0.0;
-  ScheduleTasksHeterogeneous(costs, {1.0, 4.0}, 0.0, 1.0, &fast_end);
+  const double slow_end =
+      ScheduleSingleAttempts(costs, {1.0, 1.0}, 0.0, 1.0).end_time;
+  const double fast_end =
+      ScheduleSingleAttempts(costs, {1.0, 4.0}, 0.0, 1.0).end_time;
   EXPECT_LT(fast_end, slow_end);
 }
 
 TEST(ScheduleHeterogeneousTest, AttemptScheduleIsValid) {
   const std::vector<double> costs = {5.0, 9.0, 2.0, 7.0, 1.0, 4.0};
   const std::vector<double> speeds = {1.0, 0.5, 2.0};
-  double end = 0.0;
-  std::vector<double> starts;
-  const std::vector<TaskAttemptTiming> attempts = ScheduleTaskAttempts(
-      SingleAttempts(costs), speeds, 2.0, 0.5, SpeculationConfig{}, &end,
-      &starts);
+  const AttemptScheduleOutcome schedule =
+      ScheduleSingleAttempts(costs, speeds, 2.0, 0.5);
+  const std::vector<TaskAttemptTiming>& attempts = schedule.attempts;
   ASSERT_EQ(attempts.size(), costs.size());
-  ValidateAttemptSchedule(attempts, static_cast<int>(costs.size()), 2.0, end);
+  ValidateAttemptSchedule(attempts, static_cast<int>(costs.size()), 2.0,
+                          schedule.end_time);
   for (size_t t = 0; t < costs.size(); ++t) {
-    EXPECT_DOUBLE_EQ(starts[t], attempts[t].start);
+    EXPECT_DOUBLE_EQ(schedule.winning_starts[t], attempts[t].start);
   }
 }
 
@@ -249,26 +243,22 @@ TEST(SpeculationTest, BackupBeatsStraggler) {
   // frees at t=10, launches a backup finishing at t=20, and wins.
   const std::vector<double> costs = {10.0, 10.0};
   const std::vector<double> speeds = {1.0, 0.25};
-  double plain_end = 0.0;
-  const std::vector<TaskAttemptTiming> plain = ScheduleTaskAttempts(
-      SingleAttempts(costs), speeds, 0.0, 1.0, SpeculationConfig{},
-      &plain_end, nullptr);
-  ValidateAttemptSchedule(plain, static_cast<int>(costs.size()), 0.0,
-                          plain_end);
+  const AttemptScheduleOutcome plain =
+      ScheduleSingleAttempts(costs, speeds, 0.0, 1.0);
+  ValidateAttemptSchedule(plain.attempts, static_cast<int>(costs.size()), 0.0,
+                          plain.end_time);
 
   SpeculationConfig speculation;
   speculation.enabled = true;
-  double spec_end = 0.0;
-  const std::vector<TaskAttemptTiming> spec = ScheduleTaskAttempts(
-      SingleAttempts(costs), speeds, 0.0, 1.0, speculation, &spec_end,
-      nullptr);
-  ValidateAttemptSchedule(spec, static_cast<int>(costs.size()), 0.0,
-                          spec_end);
+  const AttemptScheduleOutcome spec =
+      ScheduleSingleAttempts(costs, speeds, 0.0, 1.0, speculation);
+  ValidateAttemptSchedule(spec.attempts, static_cast<int>(costs.size()), 0.0,
+                          spec.end_time);
 
-  EXPECT_LT(spec_end, plain_end);  // strictly smaller makespan
+  EXPECT_LT(spec.end_time, plain.end_time);  // strictly smaller makespan
   int backups = 0;
   int backup_wins = 0;
-  for (const TaskAttemptTiming& a : spec) {
+  for (const TaskAttemptTiming& a : spec.attempts) {
     if (!a.speculative) continue;
     ++backups;
     if (a.won) ++backup_wins;
@@ -284,20 +274,16 @@ TEST(SpeculationTest, HomogeneousClusterIsNoOp) {
   const std::vector<double> speeds = {1.0, 1.0, 1.0};
   SpeculationConfig speculation;
   speculation.enabled = true;
-  double plain_end = 0.0;
-  double spec_end = 0.0;
-  const std::vector<TaskAttemptTiming> plain = ScheduleTaskAttempts(
-      SingleAttempts(costs), speeds, 0.0, 1.0, SpeculationConfig{},
-      &plain_end, nullptr);
-  const std::vector<TaskAttemptTiming> spec = ScheduleTaskAttempts(
-      SingleAttempts(costs), speeds, 0.0, 1.0, speculation, &spec_end,
-      nullptr);
-  EXPECT_DOUBLE_EQ(spec_end, plain_end);
-  ASSERT_EQ(spec.size(), plain.size());
-  for (size_t i = 0; i < spec.size(); ++i) {
-    EXPECT_FALSE(spec[i].speculative);
-    EXPECT_DOUBLE_EQ(spec[i].start, plain[i].start);
-    EXPECT_DOUBLE_EQ(spec[i].end, plain[i].end);
+  const AttemptScheduleOutcome plain =
+      ScheduleSingleAttempts(costs, speeds, 0.0, 1.0);
+  const AttemptScheduleOutcome spec =
+      ScheduleSingleAttempts(costs, speeds, 0.0, 1.0, speculation);
+  EXPECT_DOUBLE_EQ(spec.end_time, plain.end_time);
+  ASSERT_EQ(spec.attempts.size(), plain.attempts.size());
+  for (size_t i = 0; i < spec.attempts.size(); ++i) {
+    EXPECT_FALSE(spec.attempts[i].speculative);
+    EXPECT_DOUBLE_EQ(spec.attempts[i].start, plain.attempts[i].start);
+    EXPECT_DOUBLE_EQ(spec.attempts[i].end, plain.attempts[i].end);
   }
 }
 
@@ -309,10 +295,9 @@ TEST(SpeculationTest, ThresholdSuppressesShortBackups) {
   SpeculationConfig speculation;
   speculation.enabled = true;
   speculation.min_remaining_seconds = 1e6;
-  double end = 0.0;
-  const std::vector<TaskAttemptTiming> attempts = ScheduleTaskAttempts(
-      SingleAttempts(costs), speeds, 0.0, 1.0, speculation, &end, nullptr);
-  for (const TaskAttemptTiming& a : attempts) {
+  const AttemptScheduleOutcome schedule =
+      ScheduleSingleAttempts(costs, speeds, 0.0, 1.0, speculation);
+  for (const TaskAttemptTiming& a : schedule.attempts) {
     EXPECT_FALSE(a.speculative);
   }
 }

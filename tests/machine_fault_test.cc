@@ -144,36 +144,35 @@ AttemptScheduleOptions TwoMachineOptions() {
   return options;
 }
 
-TEST(MachineScheduleTest, NoFaultsMatchesLegacyScheduler) {
+// Without faults, spreading the slots over machines changes nothing: the
+// schedule matches the one with every slot on machine 0.
+TEST(MachineScheduleTest, NoFaultsMatchesSingleMachineSchedule) {
   const std::vector<std::vector<double>> chains = {
       {5.0}, {3.0, 9.0}, {2.0}, {7.0, 1.0, 4.0}, {6.0}};
   const std::vector<double> speeds = {1.0, 0.5, 2.0};
-  double legacy_end = 0.0;
-  std::vector<double> legacy_starts;
-  const std::vector<TaskAttemptTiming> legacy = ScheduleTaskAttempts(
-      chains, speeds, 2.0, 0.5, SpeculationConfig{}, &legacy_end,
-      &legacy_starts);
-
   AttemptScheduleOptions options;
   options.slot_speeds = speeds;
-  options.slots_per_machine = 1;
   options.start_time = 2.0;
   options.seconds_per_cost_unit = 0.5;
+  const AttemptScheduleOutcome single =
+      ScheduleTaskAttemptsOnCluster(chains, options);
+
+  options.slots_per_machine = 1;
   const AttemptScheduleOutcome outcome =
       ScheduleTaskAttemptsOnCluster(chains, options);
 
-  EXPECT_DOUBLE_EQ(outcome.end_time, legacy_end);
-  ASSERT_EQ(outcome.attempts.size(), legacy.size());
-  for (size_t i = 0; i < legacy.size(); ++i) {
-    EXPECT_EQ(outcome.attempts[i].task, legacy[i].task);
-    EXPECT_EQ(outcome.attempts[i].slot, legacy[i].slot);
-    EXPECT_DOUBLE_EQ(outcome.attempts[i].start, legacy[i].start);
-    EXPECT_DOUBLE_EQ(outcome.attempts[i].end, legacy[i].end);
-    EXPECT_EQ(outcome.attempts[i].won, legacy[i].won);
+  EXPECT_DOUBLE_EQ(outcome.end_time, single.end_time);
+  ASSERT_EQ(outcome.attempts.size(), single.attempts.size());
+  for (size_t i = 0; i < single.attempts.size(); ++i) {
+    EXPECT_EQ(outcome.attempts[i].task, single.attempts[i].task);
+    EXPECT_EQ(outcome.attempts[i].slot, single.attempts[i].slot);
+    EXPECT_DOUBLE_EQ(outcome.attempts[i].start, single.attempts[i].start);
+    EXPECT_DOUBLE_EQ(outcome.attempts[i].end, single.attempts[i].end);
+    EXPECT_EQ(outcome.attempts[i].won, single.attempts[i].won);
   }
-  ASSERT_EQ(outcome.winning_starts.size(), legacy_starts.size());
-  for (size_t i = 0; i < legacy_starts.size(); ++i) {
-    EXPECT_DOUBLE_EQ(outcome.winning_starts[i], legacy_starts[i]);
+  ASSERT_EQ(outcome.winning_starts.size(), single.winning_starts.size());
+  for (size_t i = 0; i < single.winning_starts.size(); ++i) {
+    EXPECT_DOUBLE_EQ(outcome.winning_starts[i], single.winning_starts[i]);
   }
   EXPECT_EQ(outcome.machine_lost_attempts, 0);
   EXPECT_EQ(outcome.machines_lost, 0);

@@ -8,6 +8,7 @@
 #include "mapreduce/cluster.h"
 #include "mapreduce/cost_clock.h"
 #include "mapreduce/job.h"
+#include "test_overlays.h"
 
 namespace progres {
 namespace {
@@ -25,45 +26,53 @@ TEST(CostClockTest, Accumulates) {
 
 // ------------------------------------------------------------ scheduler
 
+// FIFO schedule of single-attempt tasks on `slots` unit-speed slots.
+AttemptScheduleOutcome ScheduleOnSlots(const std::vector<double>& costs,
+                                       int slots, double start_time,
+                                       double seconds_per_cost_unit) {
+  std::vector<std::vector<double>> chains;
+  for (const double cost : costs) chains.push_back({cost});
+  AttemptScheduleOptions options;
+  options.slot_speeds.assign(static_cast<size_t>(slots), 1.0);
+  options.start_time = start_time;
+  options.seconds_per_cost_unit = seconds_per_cost_unit;
+  return ScheduleTaskAttemptsOnCluster(chains, options);
+}
+
 TEST(ScheduleTasksTest, SingleSlotSerializes) {
-  double end = 0.0;
-  const std::vector<double> starts =
-      ScheduleTasks({10.0, 20.0, 30.0}, 1, 5.0, 1.0, &end);
+  const AttemptScheduleOutcome schedule =
+      ScheduleOnSlots({10.0, 20.0, 30.0}, 1, 5.0, 1.0);
+  const std::vector<double>& starts = schedule.winning_starts;
   EXPECT_DOUBLE_EQ(starts[0], 5.0);
   EXPECT_DOUBLE_EQ(starts[1], 15.0);
   EXPECT_DOUBLE_EQ(starts[2], 35.0);
-  EXPECT_DOUBLE_EQ(end, 65.0);
+  EXPECT_DOUBLE_EQ(schedule.end_time, 65.0);
 }
 
 TEST(ScheduleTasksTest, ParallelSlotsStartTogether) {
-  double end = 0.0;
-  const std::vector<double> starts =
-      ScheduleTasks({10.0, 20.0}, 2, 0.0, 1.0, &end);
-  EXPECT_DOUBLE_EQ(starts[0], 0.0);
-  EXPECT_DOUBLE_EQ(starts[1], 0.0);
-  EXPECT_DOUBLE_EQ(end, 20.0);
+  const AttemptScheduleOutcome schedule =
+      ScheduleOnSlots({10.0, 20.0}, 2, 0.0, 1.0);
+  EXPECT_DOUBLE_EQ(schedule.winning_starts[0], 0.0);
+  EXPECT_DOUBLE_EQ(schedule.winning_starts[1], 0.0);
+  EXPECT_DOUBLE_EQ(schedule.end_time, 20.0);
 }
 
 TEST(ScheduleTasksTest, WavesUseFreedSlots) {
   // Two slots, three tasks: the third starts when the first finishes.
-  double end = 0.0;
-  const std::vector<double> starts =
-      ScheduleTasks({5.0, 50.0, 5.0}, 2, 0.0, 1.0, &end);
-  EXPECT_DOUBLE_EQ(starts[2], 5.0);
-  EXPECT_DOUBLE_EQ(end, 50.0);
+  const AttemptScheduleOutcome schedule =
+      ScheduleOnSlots({5.0, 50.0, 5.0}, 2, 0.0, 1.0);
+  EXPECT_DOUBLE_EQ(schedule.winning_starts[2], 5.0);
+  EXPECT_DOUBLE_EQ(schedule.end_time, 50.0);
 }
 
 TEST(ScheduleTasksTest, CostUnitsScaleTime) {
-  double end = 0.0;
-  ScheduleTasks({100.0}, 1, 0.0, 0.01, &end);
-  EXPECT_DOUBLE_EQ(end, 1.0);
+  EXPECT_DOUBLE_EQ(ScheduleOnSlots({100.0}, 1, 0.0, 0.01).end_time, 1.0);
 }
 
 TEST(ScheduleTasksTest, EmptyTaskList) {
-  double end = -1.0;
-  const std::vector<double> starts = ScheduleTasks({}, 4, 3.0, 1.0, &end);
-  EXPECT_TRUE(starts.empty());
-  EXPECT_DOUBLE_EQ(end, 3.0);
+  const AttemptScheduleOutcome schedule = ScheduleOnSlots({}, 4, 3.0, 1.0);
+  EXPECT_TRUE(schedule.winning_starts.empty());
+  EXPECT_DOUBLE_EQ(schedule.end_time, 3.0);
 }
 
 // ------------------------------------------------------------ MR runtime
@@ -73,7 +82,29 @@ ClusterConfig TestCluster() {
   cluster.machines = 2;
   cluster.execution_threads = 4;
   cluster.seconds_per_cost_unit = 1.0;
+  testing_util::ApplyTestOverlays(&cluster);
   return cluster;
+}
+
+// The forced-spill variant of this suite tests the out-of-core path only if
+// TestCluster() really spills under it.
+TEST(TestOverlayTest, TestClusterSpillsUnderForcedSpillOverlay) {
+  if (!testing_util::ForcedSpillOverlayActive()) {
+    GTEST_SKIP() << "PROGRES_FORCE_SPILL not set";
+  }
+  using Job = MapReduceJob<int, int, int>;
+  std::vector<int> input;
+  for (int i = 0; i < 5000; ++i) input.push_back(i);
+  Job job(2, 2);
+  const auto result = job.Run(
+      input,
+      [](const int& record, Job::MapContext* ctx) { ctx->Emit(record, 1); },
+      [](const int& key, std::vector<int>* values, Job::ReduceContext* ctx) {
+        ctx->Emit(key, static_cast<int>(values->size()));
+      },
+      TestCluster());
+  ASSERT_FALSE(result.failed) << result.error;
+  EXPECT_GT(result.counters.Get("mr.spill.runs"), 0);
 }
 
 TEST(MapReduceJobTest, WordCount) {

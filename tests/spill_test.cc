@@ -22,6 +22,7 @@
 #include "mapreduce/serde.h"
 #include "mapreduce/trace.h"
 #include "mr_test_util.h"
+#include "test_overlays.h"
 
 namespace progres {
 namespace {
@@ -36,14 +37,7 @@ ClusterConfig TestCluster(ExecutionBackend backend) {
   return cluster;
 }
 
-// A budget small enough that every map task spills on this suite's inputs:
-// one byte of headroom, 4 KiB blocks (the runtime's floor).
-ShuffleBudget TinyBudget() {
-  ShuffleBudget budget;
-  budget.max_bytes = 1;
-  budget.block_bytes = 4096;
-  return budget;
-}
+using testing_util::TinySpillBudget;
 
 // The suite's reference job: word count over synthetic lines, sized so a
 // tiny budget forces several spill runs per map task.
@@ -119,7 +113,7 @@ TEST(SpillTest, ForcedSpillOutputsByteIdenticalSimulated) {
   EXPECT_EQ(in_memory.counters.Get("mr.spill.runs"), 0);
 
   ClusterConfig spill_cluster = TestCluster(ExecutionBackend::kSimulated);
-  spill_cluster.shuffle_budget = TinyBudget();
+  spill_cluster.shuffle_budget = TinySpillBudget();
   const WordJob::Result spilled = RunWordCount(spill_cluster);
   ASSERT_FALSE(spilled.failed) << spilled.error;
   EXPECT_GT(spilled.counters.Get("mr.spill.runs"), 0);
@@ -136,7 +130,7 @@ TEST(SpillTest, ForcedSpillOutputsByteIdenticalThreaded) {
   ASSERT_FALSE(in_memory.failed) << in_memory.error;
 
   ClusterConfig spill_cluster = TestCluster(ExecutionBackend::kThreaded);
-  spill_cluster.shuffle_budget = TinyBudget();
+  spill_cluster.shuffle_budget = TinySpillBudget();
   const WordJob::Result spilled = RunWordCount(spill_cluster);
   ASSERT_FALSE(spilled.failed) << spilled.error;
   EXPECT_GT(spilled.counters.Get("mr.spill.runs"), 0);
@@ -149,7 +143,7 @@ TEST(SpillTest, CombinerAppliesToSpillRunsAndMemoryTail) {
   // combined spilled run must move strictly fewer records than the
   // combiner-free one — while producing identical reduce outputs.
   ClusterConfig cluster = TestCluster(ExecutionBackend::kSimulated);
-  cluster.shuffle_budget = TinyBudget();
+  cluster.shuffle_budget = TinySpillBudget();
   const WordJob::Result plain = RunWordCount(cluster, /*with_combiner=*/false);
   const WordJob::Result combined =
       RunWordCount(cluster, /*with_combiner=*/true);
@@ -201,7 +195,7 @@ SpillSpanTally TallySpillSpans(const std::vector<TraceSpan>& spans) {
 void CheckSpillLedger(ExecutionBackend backend) {
   TraceRecorder recorder;
   ClusterConfig cluster = TestCluster(backend);
-  cluster.shuffle_budget = TinyBudget();
+  cluster.shuffle_budget = TinySpillBudget();
   cluster.trace = &recorder;
   const WordJob::Result result = RunWordCount(cluster);
   ASSERT_FALSE(result.failed) << result.error;
@@ -243,7 +237,7 @@ TEST(SpillTest, SpillRunFilesAreDeletedAfterTheJob) {
   std::filesystem::create_directories(dir);
 
   ClusterConfig cluster = TestCluster(ExecutionBackend::kSimulated);
-  cluster.shuffle_budget = TinyBudget();
+  cluster.shuffle_budget = TinySpillBudget();
   cluster.shuffle_budget.spill_dir = dir.string();
   const WordJob::Result result = RunWordCount(cluster);
   ASSERT_FALSE(result.failed) << result.error;
@@ -269,7 +263,7 @@ TEST(SpillTest, UnusableSpillDirFailsTheJobWithALabel) {
   { std::ofstream out(blocker); out << "x"; }
 
   ClusterConfig cluster = TestCluster(ExecutionBackend::kSimulated);
-  cluster.shuffle_budget = TinyBudget();
+  cluster.shuffle_budget = TinySpillBudget();
   cluster.shuffle_budget.spill_dir = blocker.string();
   const WordJob::Result result = RunWordCount(cluster);
   EXPECT_TRUE(result.failed);
