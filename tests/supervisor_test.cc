@@ -8,6 +8,7 @@
 // kDeadlineCancel / kTaskQuarantine / kBreakerTrip trace spans; and with
 // degradation disabled every hard-failure path keeps its labelled error.
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <string>
@@ -244,6 +245,63 @@ TEST(SupervisorTest, DoomedMapTaskQuarantinesItsChunk) {
 
   const Job::Result rerun = RunHookedJob(cluster);
   EXPECT_EQ(rerun.outputs, run.outputs);
+}
+
+// A quarantine span sits at the end of its task's winning attempt as the
+// trace shows it, or at the phase barrier when the trace shows none. The
+// timing model counts the last attempt of every placed chain as its winner,
+// a doomed one's included, so the simulated span marks the doomed map
+// task's last attempt; on the wall clock the doomed task has no winner, so
+// the span sits after every map attempt and before every reduce attempt.
+TEST(SupervisorTest, DoomedMapQuarantineSpanAnchors) {
+  FaultConfig fault;
+  fault.enabled = true;
+  fault.max_attempts = 2;
+  fault.injected.push_back({TaskPhase::kMap, 2, 0});
+  fault.injected.push_back({TaskPhase::kMap, 2, 1});
+  for (const ExecutionBackend backend :
+       {ExecutionBackend::kSimulated, ExecutionBackend::kThreaded}) {
+    SCOPED_TRACE(ToString(backend));
+    ClusterConfig cluster = TestCluster(fault);
+    cluster.backend = backend;
+    cluster.control.allow_degraded = true;
+    TraceRecorder trace;
+    cluster.trace = &trace;
+    const Job::Result run = RunHookedJob(cluster);
+    ASSERT_FALSE(run.failed) << run.error;
+
+    std::vector<TraceSpan> quarantines;
+    const TraceSpan* winner = nullptr;
+    double last_map_end = 0.0;
+    double first_reduce_start = run.timing.end + 1e9;
+    const std::vector<TraceSpan> spans = trace.spans();
+    for (const TraceSpan& span : spans) {
+      if (span.kind == SpanKind::kTaskQuarantine) quarantines.push_back(span);
+      if (span.kind != SpanKind::kAttempt) continue;
+      if (span.phase == TaskPhase::kMap) {
+        last_map_end = std::max(last_map_end, span.end);
+        if (span.task == 2 && span.outcome == SpanOutcome::kCompleted) {
+          winner = &span;
+        }
+      } else {
+        first_reduce_start = std::min(first_reduce_start, span.start);
+      }
+    }
+    ASSERT_EQ(quarantines.size(), 1u);
+    const TraceSpan& quarantine = quarantines[0];
+    EXPECT_EQ(quarantine.phase, TaskPhase::kMap);
+    EXPECT_EQ(quarantine.task, 2);
+    EXPECT_EQ(quarantine.start, quarantine.end);
+    if (backend == ExecutionBackend::kSimulated) {
+      ASSERT_NE(winner, nullptr);
+      EXPECT_EQ(winner->attempt, 1);
+      EXPECT_EQ(quarantine.start, winner->end);
+    } else {
+      EXPECT_EQ(winner, nullptr);
+      EXPECT_GE(quarantine.start, last_map_end);
+      EXPECT_LE(quarantine.start, first_reduce_start);
+    }
+  }
 }
 
 // ---- Retry-budget ledger ----
