@@ -31,20 +31,16 @@ void BM_Levenshtein(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_Levenshtein)->Arg(8)->Arg(32)->Arg(128)->Arg(350);
-
-void BM_BoundedLevenshtein(benchmark::State& state) {
-  Rng rng(2);
-  const size_t length = static_cast<size_t>(state.range(0));
-  const std::string a = RandomString(&rng, length);
-  std::string b = a;
-  b[length / 2] = '#';  // distance 1
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(BoundedLevenshtein(a, b, 4));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_BoundedLevenshtein)->Arg(8)->Arg(32)->Arg(128)->Arg(350);
+// The lengths the publication workload compares: a short string (8), the
+// mean title (38), one and two 64-bit words (64, 65), the mean abstract
+// prefix (163) and the 350-character abstract cap.
+BENCHMARK(BM_Levenshtein)
+    ->Arg(8)
+    ->Arg(38)
+    ->Arg(64)
+    ->Arg(65)
+    ->Arg(163)
+    ->Arg(350);
 
 void BM_MatchFunctionResolve(benchmark::State& state) {
   Rng rng(3);

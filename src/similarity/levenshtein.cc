@@ -5,63 +5,72 @@
 
 namespace progres {
 
+namespace {
+
+constexpr size_t kWordBits = 64;
+
+// Per-thread scratch of Levenshtein. `peq` holds, for every byte value c,
+// the ceil(n/64)-word mask of the positions of c in the pattern, byte-major;
+// every entry is zero between calls. `pv`/`mv` are the +1/-1 vertical delta
+// vectors of the current column.
+struct Scratch {
+  std::vector<uint64_t> peq;
+  std::vector<uint64_t> pv;
+  std::vector<uint64_t> mv;
+};
+
+}  // namespace
+
 int64_t Levenshtein(std::string_view a, std::string_view b) {
-  if (a.size() > b.size()) std::swap(a, b);  // a is the shorter string
+  if (a.size() > b.size()) std::swap(a, b);  // a, the shorter, is the pattern
   const size_t n = a.size();
-  const size_t m = b.size();
-  if (n == 0) return static_cast<int64_t>(m);
+  if (n == 0) return static_cast<int64_t>(b.size());
+  const size_t words = (n + kWordBits - 1) / kWordBits;
 
-  std::vector<int64_t> row(n + 1);
-  for (size_t i = 0; i <= n; ++i) row[i] = static_cast<int64_t>(i);
-  for (size_t j = 1; j <= m; ++j) {
-    int64_t diag = row[0];  // row[0] from the previous iteration
-    row[0] = static_cast<int64_t>(j);
-    for (size_t i = 1; i <= n; ++i) {
-      const int64_t subst = diag + (a[i - 1] == b[j - 1] ? 0 : 1);
-      diag = row[i];
-      row[i] = std::min({row[i] + 1, row[i - 1] + 1, subst});
-    }
+  thread_local Scratch s;
+  if (s.peq.size() < 256 * words) s.peq.resize(256 * words);
+  for (size_t i = 0; i < n; ++i) {
+    s.peq[static_cast<unsigned char>(a[i]) * words + i / kWordBits] |=
+        uint64_t{1} << (i % kWordBits);
   }
-  return row[n];
-}
+  // Column 0 of the DP is 0, 1, ..., n: every vertical delta is +1.
+  s.pv.assign(words, ~uint64_t{0});
+  s.mv.assign(words, 0);
 
-int64_t BoundedLevenshtein(std::string_view a, std::string_view b,
-                           int64_t max_dist) {
-  if (max_dist < 0) return 0;
-  if (a.size() > b.size()) std::swap(a, b);
-  const int64_t n = static_cast<int64_t>(a.size());
-  const int64_t m = static_cast<int64_t>(b.size());
-  if (m - n > max_dist) return max_dist + 1;
-  if (n == 0) return m;
-
-  // Banded DP: only cells with |i - j| <= max_dist can hold values
-  // <= max_dist. kBig marks cells outside the band.
-  const int64_t kBig = max_dist + 1;
-  std::vector<int64_t> row(static_cast<size_t>(n) + 1, kBig);
-  for (int64_t i = 0; i <= std::min(n, max_dist); ++i) row[static_cast<size_t>(i)] = i;
-
-  for (int64_t j = 1; j <= m; ++j) {
-    const int64_t lo = std::max<int64_t>(1, j - max_dist);
-    const int64_t hi = std::min(n, j + max_dist);
-    int64_t diag = (lo == 1) ? row[0] : kBig;
-    // diag must be the value of cell (lo-1, j-1) before this row update.
-    if (lo > 1) diag = row[static_cast<size_t>(lo - 1)];
-    row[0] = (j <= max_dist) ? j : kBig;
-    if (lo > 1) row[static_cast<size_t>(lo - 1)] = kBig;
-    int64_t row_min = kBig;
-    for (int64_t i = lo; i <= hi; ++i) {
-      const int64_t subst =
-          diag + (a[static_cast<size_t>(i - 1)] == b[static_cast<size_t>(j - 1)] ? 0 : 1);
-      diag = row[static_cast<size_t>(i)];
-      const int64_t del = (i < hi || hi == n) ? row[static_cast<size_t>(i)] + 1 : kBig;
-      const int64_t ins = row[static_cast<size_t>(i - 1)] + 1;
-      row[static_cast<size_t>(i)] = std::min({del, ins, subst, kBig});
-      row_min = std::min(row_min, row[static_cast<size_t>(i)]);
+  // Bit (n-1) of the last word is row n, whose value is the distance.
+  const int last = static_cast<int>((n - 1) % kWordBits);
+  int64_t score = static_cast<int64_t>(n);
+  for (const char c : b) {
+    const uint64_t* eq = &s.peq[static_cast<unsigned char>(c) * words];
+    // Row 0 is 0, 1, ..., m, so its horizontal delta is +1 in every column.
+    // The -1 carry doubles as the carry-in of the next word's addition.
+    uint64_t ph_carry = 1;
+    uint64_t mh_carry = 0;
+    uint64_t ph = 0;
+    uint64_t mh = 0;
+    for (size_t w = 0; w < words; ++w) {
+      const uint64_t e = eq[w];
+      const uint64_t pv = s.pv[w];
+      const uint64_t mv = s.mv[w];
+      const uint64_t xv = e | mv;
+      const uint64_t xh = (((e & pv) + pv + mh_carry) ^ pv) | e;
+      ph = mv | ~(xh | pv);
+      mh = pv & xh;
+      const uint64_t ph_shifted = (ph << 1) | ph_carry;
+      const uint64_t mh_shifted = (mh << 1) | mh_carry;
+      ph_carry = ph >> (kWordBits - 1);
+      mh_carry = mh >> (kWordBits - 1);
+      s.pv[w] = mh_shifted | ~(xv | ph_shifted);
+      s.mv[w] = ph_shifted & xv;
     }
-    if (hi < n) row[static_cast<size_t>(hi + 1)] = kBig;
-    if (row_min > max_dist) return max_dist + 1;  // early exit: band exceeded
+    score += static_cast<int64_t>((ph >> last) & 1) -
+             static_cast<int64_t>((mh >> last) & 1);
   }
-  return std::min(row[static_cast<size_t>(n)], kBig);
+
+  for (size_t i = 0; i < n; ++i) {
+    s.peq[static_cast<unsigned char>(a[i]) * words + i / kWordBits] = 0;
+  }
+  return score;
 }
 
 double EditSimilarity(std::string_view a, std::string_view b) {

@@ -6,16 +6,16 @@
 
 namespace progres {
 
-// Computes the Levenshtein (edit) distance between `a` and `b` using the
-// classic two-row dynamic program. O(|a|*|b|) time, O(min) space.
+// Computes the exact Levenshtein (edit) distance between `a` and `b`, over
+// bytes, with the bit-parallel algorithm of Myers (1999) in Hyyrö's (2003)
+// formulation for the global distance. The shorter string of length n is
+// encoded as ceil(n/64)-word match masks, one per byte value; each byte of
+// the longer string of length m then advances one DP column of +1/-1
+// vertical deltas with a constant number of word operations per word,
+// carrying between words. Cost: O(ceil(n/64) * m) word operations. Uses
+// per-thread scratch, so concurrent calls are safe and allocate nothing
+// once the scratch has grown to the longest pattern seen.
 int64_t Levenshtein(std::string_view a, std::string_view b);
-
-// Computes the Levenshtein distance if it is <= `max_dist`, otherwise returns
-// max_dist + 1. Uses Ukkonen's banded dynamic program, O(max_dist * min(|a|,
-// |b|)) time, which is what makes the edit-distance match function affordable
-// inside the resolve loop.
-int64_t BoundedLevenshtein(std::string_view a, std::string_view b,
-                           int64_t max_dist);
 
 // Normalized edit similarity in [0, 1]: 1 - dist / max(|a|, |b|). Two empty
 // strings have similarity 1.

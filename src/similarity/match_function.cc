@@ -72,7 +72,6 @@ double MatchFunction::Similarity(const Entity& a, const Entity& b) const {
 }
 
 bool MatchFunction::Resolve(const Entity& a, const Entity& b) const {
-  comparisons_.fetch_add(1, std::memory_order_relaxed);
   const double need = threshold_ * total_weight_;
   double sum = 0.0;
   double remaining = total_weight_;

@@ -1,9 +1,6 @@
 #ifndef PROGRES_SIMILARITY_MATCH_FUNCTION_H_
 #define PROGRES_SIMILARITY_MATCH_FUNCTION_H_
 
-#include <atomic>
-#include <cstdint>
-#include <string>
 #include <vector>
 
 #include "model/entity.h"
@@ -33,29 +30,12 @@ struct AttributeRule {
 };
 
 // The compute-intensive resolve/match function: a weighted sum of
-// per-attribute similarities compared against a threshold. Thread-safe for
-// concurrent Resolve calls; the comparison counter is atomic so that reduce
-// tasks running in parallel can share one instance.
+// per-attribute similarities compared against a threshold. Immutable after
+// construction, so reduce tasks running in parallel can share one instance
+// and call Resolve/Similarity concurrently.
 class MatchFunction {
  public:
   MatchFunction(std::vector<AttributeRule> rules, double threshold);
-
-  // Copyable: the comparison counter's current value is carried over (the
-  // atomic itself prevents implicit copies).
-  MatchFunction(const MatchFunction& other)
-      : rules_(other.rules_),
-        eval_order_(other.eval_order_),
-        threshold_(other.threshold_),
-        total_weight_(other.total_weight_),
-        comparisons_(other.comparisons()) {}
-  MatchFunction& operator=(const MatchFunction& other) {
-    rules_ = other.rules_;
-    eval_order_ = other.eval_order_;
-    threshold_ = other.threshold_;
-    total_weight_ = other.total_weight_;
-    comparisons_.store(other.comparisons(), std::memory_order_relaxed);
-    return *this;
-  }
 
   // Returns true if `a` and `b` are declared duplicates, i.e. whether
   // Similarity(a, b) >= threshold. Missing values (empty strings on both
@@ -71,12 +51,6 @@ class MatchFunction {
   // Returns the weighted similarity in [0, 1] without thresholding.
   double Similarity(const Entity& a, const Entity& b) const;
 
-  // Number of Resolve() calls since construction or the last ResetCounter().
-  int64_t comparisons() const {
-    return comparisons_.load(std::memory_order_relaxed);
-  }
-  void ResetCounter() { comparisons_.store(0, std::memory_order_relaxed); }
-
   double threshold() const { return threshold_; }
   const std::vector<AttributeRule>& rules() const { return rules_; }
 
@@ -91,7 +65,6 @@ class MatchFunction {
   std::vector<int> eval_order_;
   double threshold_;
   double total_weight_;
-  mutable std::atomic<int64_t> comparisons_{0};
 };
 
 }  // namespace progres
