@@ -44,9 +44,9 @@ void Main() {
       bench::MakePublicationSetup(kEntities);
 
   std::printf("=== Ablation: per-block vs per-tree map emission ===\n\n");
-  // mr.shuffle.* are the runtime's own post-combine accounting at the
-  // map/reduce boundary; map.emitted_pairs / shuffle.bytes are the driver's
-  // map-side counters. With no combiner the record counts agree. The two
+  // mr.shuffle.* are the runtime's own accounting of the encoded pairs at
+  // the map/reduce boundary; map.emitted_pairs / shuffle.bytes are the
+  // driver's map-side counters, and both pairs of columns agree. The two
   // rightmost time columns are different clocks: sim_total_s is the
   // deterministic simulated makespan, wall_s the measured run time.
   TextTable table({"emission", "shuffled_pairs", "shuffled_bytes",

@@ -44,11 +44,6 @@ ErRunResult BasicEr::Run(const Dataset& dataset) const {
     job.set_map_cost_per_record(0.1);
     // The default hash partitioner stands; keys are "blocking key value
     // followed by the function ID" (Sec. II-C, footnote 3).
-    job.set_wire_size([](const std::string& key, const EntityId& id) {
-      return static_cast<int64_t>(VarintSize(key.size())) +
-             static_cast<int64_t>(key.size()) +
-             VarintSize(static_cast<uint64_t>(id));
-    });
     // Resolution-side user code: poison records crash its map attempts.
     job.set_poison_faults(true);
 
@@ -75,7 +70,7 @@ ErRunResult BasicEr::Run(const Dataset& dataset) const {
       // deadline cut or quarantine can deliver a checkpointed prefix.
       states.InstallCheckpointRecovery(&job, options_.alpha, &checkpoints);
     } else {
-      states.InstallAbortReset(&job);
+      states.Install(&job);
     }
 
     const auto reduce_fn = [&, this](const std::string& key,

@@ -14,7 +14,6 @@
 #include "mapreduce/cluster.h"
 #include "mapreduce/cost_clock.h"
 #include "mapreduce/counters.h"
-#include "mapreduce/fault.h"
 #include "mapreduce/trace.h"
 #include "mechanism/mechanism.h"
 #include "model/entity.h"
@@ -23,9 +22,10 @@ namespace progres {
 
 // Shared scaffolding of the ER drivers (Basic, MRSN, Progressive, and the
 // statistics job): every driver accumulates external per-reduce-task state
-// alongside its MR job, must reset that state when a fault-injected attempt
-// aborts, and assembles the same ErRunResult shape from per-task events.
-// This header factors those three concerns out of the drivers.
+// alongside its MR job, must rewind that state whenever the job rewinds a
+// reduce task (a retried attempt, a quarantine, a deadline cut), and
+// assembles the same ErRunResult shape from per-task events. This header
+// factors those three concerns out of the drivers.
 
 // The per-reduce-task accumulator every resolving driver shares: the raw
 // duplicate-discovery events (task-local cost order) plus outcome tallies.
@@ -39,9 +39,9 @@ struct ErTaskState {
 };
 
 // Owns one State per reduce task (each task writes only its own slot, so no
-// synchronization is needed) and wires the fault-tolerance contract: a
-// fault-injected reduce attempt that dies default-reconstructs its task's
-// State, so the retry never double-counts.
+// synchronization is needed) and wires the fault-tolerance contract: every
+// reduce attempt starts from a default-constructed State (or the restored
+// checkpoint's copy), so a retry never double-counts.
 template <typename State>
 class TaskStateRegistry {
  public:
@@ -54,23 +54,31 @@ class TaskStateRegistry {
   std::vector<State>& states() { return states_; }
   const std::vector<State>& states() const { return states_; }
 
-  // Installs the job's task-abort hook: a failing reduce attempt resets its
-  // task's State to a freshly-constructed one.
+  // Installs the job's task-state hooks: `save` copies the task's State,
+  // `restore` replaces it with a snapshot, or with a freshly-constructed
+  // State when there is none. State must be copyable.
   template <typename Job>
-  void InstallAbortReset(Job* job) {
-    job->set_task_abort(
-        [this](TaskPhase phase, int task_id, int /*attempt*/) {
-          if (phase == TaskPhase::kReduce) {
-            states_[static_cast<size_t>(task_id)] = State();
+  void Install(Job* job) {
+    job->set_task_state(
+        [this](int task_id) -> std::shared_ptr<const void> {
+          return std::make_shared<const State>(
+              states_[static_cast<size_t>(task_id)]);
+        },
+        [this](int task_id, const void* snapshot) {
+          State& state = states_[static_cast<size_t>(task_id)];
+          if (snapshot == nullptr) {
+            state = State();
+          } else {
+            state = *static_cast<const State*>(snapshot);
           }
         });
   }
 
-  // Installs checkpointed recovery instead (checkpoint.h): the job
-  // snapshots a copy of the task's State at each alpha-emission boundary
-  // and a re-attempt restores the latest snapshot (or a fresh State when
-  // none exists) rather than replaying from scratch. `store` must outlive
-  // the job's Run. State must be copyable.
+  // Installs the task-state hooks plus checkpointed recovery
+  // (checkpoint.h): the job snapshots a copy of the task's State at each
+  // alpha-emission boundary and a re-attempt restores the latest snapshot
+  // (or a fresh State when none exists) rather than replaying from scratch.
+  // `store` must outlive the job's Run.
   //
   // With `encode`/`decode` supplied, they are installed on the store as its
   // type-erased driver-state codec, which persisted snapshots need
@@ -82,6 +90,7 @@ class TaskStateRegistry {
       Job* job, double alpha, CheckpointStore* store,
       std::function<std::string(const State&)> encode = nullptr,
       std::function<bool(std::string_view, State*)> decode = nullptr) {
+    Install(job);
     if (encode != nullptr && decode != nullptr) {
       store->SetStateCodec(
           [encode = std::move(encode)](
@@ -97,20 +106,7 @@ class TaskStateRegistry {
             return state;
           });
     }
-    job->set_checkpointing(
-        alpha, store,
-        [this](int task_id) -> std::shared_ptr<const void> {
-          return std::make_shared<const State>(
-              states_[static_cast<size_t>(task_id)]);
-        },
-        [this](int task_id, const void* snapshot) {
-          State& state = states_[static_cast<size_t>(task_id)];
-          if (snapshot == nullptr) {
-            state = State();
-          } else {
-            state = *static_cast<const State*>(snapshot);
-          }
-        });
+    job->set_checkpointing(alpha, store);
   }
 
  private:

@@ -37,8 +37,7 @@ struct MrsnTaskState : ErTaskState {
 
 }  // namespace
 
-// Wire form of SlideValue: the entity id as a varint plus one flag byte —
-// the same layout the job's wire-size accounting describes.
+// Wire form of SlideValue: the entity id as a varint plus one flag byte.
 template <>
 struct KvCodec<SlideValue> {
   static void Encode(const SlideValue& value, std::string* out) {
@@ -116,12 +115,6 @@ ErRunResult MrsnEr::Run(const Dataset& dataset) const {
       job.set_partitioner([](const int64_t& key, int /*r*/) {
         return static_cast<int>(key / kRankStride);
       });
-      job.set_wire_size([](const int64_t& key, const SlideValue& value) {
-        return static_cast<int64_t>(VarintSize(static_cast<uint64_t>(key))) +
-               static_cast<int64_t>(
-                   VarintSize(static_cast<uint64_t>(value.id))) +
-               1;  // the owned flag
-      });
       // Resolution-side user code: poison records crash its map attempts.
       // SurfaceQuarantinedIds dedups across the per-family passes.
       job.set_poison_faults(true);
@@ -144,15 +137,16 @@ ErRunResult MrsnEr::Run(const Dataset& dataset) const {
       };
 
       // Retried attempts replay the pass's whole partition; the registry's
-      // abort hook clears the task's sliding-window state and events first.
-      // Supervised runs snapshot the state at alpha boundaries instead so a
-      // deadline cut or quarantine can deliver a checkpointed prefix.
+      // task-state hook clears the task's sliding-window state and events
+      // first. Supervised runs snapshot the state at alpha boundaries
+      // instead so a deadline cut or quarantine can deliver a checkpointed
+      // prefix.
       TaskStateRegistry<MrsnTaskState> states(reduce_tasks);
       CheckpointStore checkpoints;
       if (options_.cluster.control.active()) {
         states.InstallCheckpointRecovery(&job, options_.alpha, &checkpoints);
       } else {
-        states.InstallAbortReset(&job);
+        states.Install(&job);
       }
 
       const auto reduce_fn = [&](const int64_t& /*key*/,

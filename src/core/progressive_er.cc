@@ -260,7 +260,7 @@ void ProgressiveEr::AddPreprocessStages(const Dataset& dataset,
     return stage;
   });
 
-  // ---- Schedule generation (map-task setup of the second job) ----
+  // ---- Schedule generation: a computation stage between the two jobs ----
   pipe->AddComputation("schedule generation", [this, &dataset, stats_forests,
                                                pre, reduce_tasks](
                                                   double /*submit_time*/) {
@@ -367,9 +367,6 @@ ErRunResult ProgressiveEr::Run(const Dataset& dataset) const {
                                                           int /*r*/) {
       return static_cast<int>(sq / range);
     });
-    job.set_wire_size([](const int64_t& sq, const ResolveValue& value) {
-      return WireSize(sq, value);
-    });
     // The resolution map runs the match-adjacent user code a poison record
     // crashes; the statistics pre-pass never does, so only this job engages
     // the skip-bad-records machinery.
@@ -445,10 +442,11 @@ ErRunResult ProgressiveEr::Run(const Dataset& dataset) const {
     };
 
     // A failed reduce attempt leaves partial events, resolved-pair sets and
-    // buffered tree groups behind. The default abort hook resets its state
-    // so the retry replays the task from scratch; with checkpoint_recovery
-    // the job instead snapshots the state at each alpha-emission boundary
-    // and the retry resumes from the latest snapshot.
+    // buffered tree groups behind. The registry's task-state hook resets
+    // the state so the retry replays the task from scratch; with
+    // checkpoint_recovery the job instead snapshots the state at each
+    // alpha-emission boundary and the retry resumes from the latest
+    // snapshot.
     TaskStateRegistry<ResolveTaskState> states(reduce_tasks);
     CheckpointStore checkpoints;
     const bool persist = !options_.checkpoint_dir.empty();
@@ -465,7 +463,7 @@ ErRunResult ProgressiveEr::Run(const Dataset& dataset) const {
                                          options_.crash_after_checkpoints);
       }
     } else {
-      states.InstallAbortReset(&job);
+      states.Install(&job);
     }
 
     // Resolves one scheduled block given its members (and their dominance

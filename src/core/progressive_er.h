@@ -63,7 +63,8 @@ struct ProgressiveErOptions {
   double per_task_cost_budget = 0.0;
 
   // Cost units charged for generating the progressive schedule, per live
-  // block (the map-task setup work of the second job).
+  // block (the pipeline's computation stage between the two jobs; the
+  // paper runs it in the second job's map-task setup).
   double schedule_cost_per_block = 0.2;
 
   // Checkpointed progressive recovery (checkpoint.h): reduce tasks of the

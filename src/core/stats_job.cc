@@ -36,8 +36,7 @@ constexpr double kReduceValueCost = 0.05;
 }  // namespace
 
 // Wire form of StatsValue: a counted sequence of level keys, then the
-// tuple — each length-prefixed, matching the job's wire-size accounting
-// plus one varint for the sequence count.
+// tuple — each length-prefixed.
 template <>
 struct KvCodec<StatsValue> {
   static void Encode(const StatsValue& value, std::string* out) {
@@ -80,7 +79,7 @@ StatsJobOutput RunStatisticsJob(const Dataset& dataset,
 
   // Per-reduce-task record sinks (each task writes only its own slot). A
   // failed reduce attempt may have flushed records into its sink; the
-  // registry's abort hook drops them so the retry starts clean.
+  // registry's task-state hook drops them so the retry starts clean.
   TaskStateRegistry<std::vector<StatsRecord>> sinks(num_reduce_tasks);
 
   // This inner pipeline deliberately does not register with the trace
@@ -93,18 +92,7 @@ StatsJobOutput RunStatisticsJob(const Dataset& dataset,
     using Job = MapReduceJob<Entity, std::string, StatsValue>;
     Job job(num_map_tasks, num_reduce_tasks);
     job.set_map_cost_per_record(0.1);
-    job.set_wire_size([](const std::string& key, const StatsValue& value) {
-      int64_t bytes = static_cast<int64_t>(VarintSize(key.size())) +
-                      static_cast<int64_t>(key.size());
-      for (const std::string& level_key : value.level_keys) {
-        bytes += static_cast<int64_t>(VarintSize(level_key.size())) +
-                 static_cast<int64_t>(level_key.size());
-      }
-      bytes += static_cast<int64_t>(VarintSize(value.tuple.size())) +
-               static_cast<int64_t>(value.tuple.size());
-      return bytes;
-    });
-    sinks.InstallAbortReset(&job);
+    sinks.Install(&job);
 
     const auto map_fn = [&config](const Entity& e, Job::MapContext* ctx) {
       for (int f = 0; f < config.num_families(); ++f) {

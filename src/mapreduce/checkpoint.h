@@ -21,15 +21,16 @@ namespace progres {
 // before the boundary has already been delivered, so a re-attempt that
 // restores the snapshot and resumes mid-schedule loses nothing and repeats
 // only the work since the last boundary. Without checkpoints a re-attempt
-// replays the task from scratch (the abort-reset path the non-progressive
-// drivers keep).
+// replays the task from scratch, its driver state reset by the job's
+// task-state hook (MapReduceJob::set_task_state).
 //
 // A snapshot captures both halves of a task's state:
 //   * the job-side context — cost clock, user counters, emitted outputs and
 //     input-progress watermarks (group index / records consumed);
 //   * the driver-side state — an opaque, type-erased copy produced by the
-//     driver's save hook (for the progressive driver: the resolved-block
-//     watermark, per-tree resolved-pair sets and buffered tree groups).
+//     driver's task-state save hook (for the progressive driver: the
+//     resolved-block watermark, per-tree resolved-pair sets and buffered
+//     tree groups).
 //
 // The store also remembers every boundary's cost ("recovery points"): the
 // timing model consults them to cost the replacement of an attempt killed
@@ -105,10 +106,9 @@ class CheckpointStore {
   // (only the latest snapshot is kept, the historical memory footprint).
   // Armed by MapReduceJob when job supervision is active; survives Reset.
   void set_keep_history(bool keep) { keep_history_ = keep; }
-  bool keep_history() const { return keep_history_; }
 
   // Highest-cost retained snapshot of task `t` with cost <= `cost`, or
-  // nullptr if no crossed boundary qualifies. Requires keep_history();
+  // nullptr if no crossed boundary qualifies. Requires set_keep_history;
   // without it only the latest snapshot is consulted.
   const TaskCheckpoint* LatestAtOrBelow(int t, double cost) const;
 

@@ -17,15 +17,15 @@ namespace progres {
 //   mr.failed_attempts      non-winning attempts (crashes, hangs, poison)
 //   mr.speculative_launched backup copies launched by speculative execution
 //   mr.speculative_wins     backup copies that beat the original attempt
-//   mr.shuffle.records      post-combine pairs crossing the shuffle
-//   mr.shuffle.bytes        their serialized volume (needs set_wire_size)
+//   mr.shuffle.records      pairs crossing the shuffle
+//   mr.shuffle.bytes        their KvCodec-encoded volume
 //   mr.shuffle.checksum_errors  partition fetches failing their CRC32
 //   mr.shuffle.refetches    re-fetches triggered by checksum errors
 //   mr.shuffle.map_reruns   map re-runs after max_fetch_retries corrupt
 //                           copies of the same partition
 //   mr.spill.runs           sorted spill runs written by winning map
 //                           attempts (shuffle_budget.max_bytes > 0 only)
-//   mr.spill.records        post-combine records in those runs
+//   mr.spill.records        records in those runs
 //   mr.spill.bytes          encoded bytes written to spill files
 //   mr.spill.merge_passes   reduce tasks whose winning gather k-way merged
 //                           at least one spill run

@@ -30,11 +30,10 @@ namespace progres {
 // In-process MapReduce runtime, layered out of three components:
 //   * Shuffle (shuffle.h) — partition routing, the memory-budgeted map-side
 //     KV block buffers with their sorted spill runs
-//     (ClusterConfig::shuffle_budget), the combiner, the reduce-side
-//     gather (an in-memory sort, or a k-way external merge over the spill
-//     runs), and data-plane accounting (exported under "mr.shuffle.*" and
-//     "mr.spill.*");
-//   * TaskAttemptRunner (task_runner.h) — the retry/abort bookkeeping of
+//     (ClusterConfig::shuffle_budget), the reduce-side gather (an in-memory
+//     sort, or a k-way external merge over the spill runs), and data-plane
+//     accounting (exported under "mr.shuffle.*" and "mr.spill.*");
+//   * TaskAttemptRunner (task_runner.h) — the retry bookkeeping of
 //     fault-injected task attempts, per phase;
 //   * the attempt-aware timing model (cluster.h) — converts per-attempt
 //     costs into a deterministic simulated timeline, including retry delays
@@ -48,14 +47,14 @@ namespace progres {
 //   * each reduce task sorts its pairs by key and invokes the reduce function
 //     once per distinct key, in key order (so sequence-value keys yield the
 //     paper's per-task block resolution order);
-//   * per-task setup hooks run before the first record/group (the second
-//     job's schedule generation runs in map-task setup);
+//   * a reduce cleanup hook runs after each reduce task's last group (the
+//     progressive driver's per-tree emission flushes there);
 //   * task attempts that fail are retried up to FaultConfig::max_attempts
-//     times. A failed attempt discards its partial buckets/outputs/counters
-//     (plus any external per-task state, via the task-abort hook) and the
-//     task re-runs from scratch, so job output is byte-identical to a
-//     fault-free run. Exhausting max_attempts fails the job cleanly
-//     (Result::failed + Result::error);
+//     times. Every attempt starts from a reset context (and, for reduce
+//     tasks, reset external per-task state via set_task_state), so a
+//     failed attempt's partial buckets/outputs/counters are discarded and
+//     job output is byte-identical to a fault-free run. Exhausting
+//     max_attempts fails the job cleanly (Result::failed + Result::error);
 //   * with checkpointing enabled (set_checkpointing), a reduce re-attempt
 //     instead restores the task's last alpha-boundary snapshot and resumes
 //     mid-schedule — same byte-identical outputs, but only the progress
@@ -142,16 +141,12 @@ class MapReduceJob {
   using ReduceFn =
       std::function<void(const K&, std::vector<V>*, ReduceContext*)>;
   using PartitionFn = typename JobShuffle::PartitionFn;
-  using SetupFn = std::function<void(int task_id)>;
   // Cleanup hook run after a reduce task's last group (Hadoop's cleanup()).
   using ReduceCleanupFn = std::function<void(ReduceContext*)>;
-  using CombineFn = typename JobShuffle::CombineFn;
-  using WireSizeFn = typename JobShuffle::WireSizeFn;
-  // Abort hook invoked when a task attempt fails, before the retry. Jobs
-  // that accumulate external per-task state (sinks indexed by task_id) must
-  // reset that state here or retries would double-count.
-  using TaskAbortFn = std::function<void(TaskPhase phase, int task_id,
-                                         int attempt)>;
+  // Hooks over external per-reduce-task state (see set_task_state).
+  using SaveStateFn = std::function<std::shared_ptr<const void>(int task_id)>;
+  using RestoreStateFn =
+      std::function<void(int task_id, const void* snapshot)>;
 
   struct Result {
     // Reduce outputs concatenated in reduce-task order (within a task, in
@@ -195,27 +190,12 @@ class MapReduceJob {
   // key-extraction work).
   void set_map_cost_per_record(double cost) { map_cost_per_record_ = cost; }
 
-  // Optional hooks run at the start of each task, before any record/group.
-  void set_map_setup(SetupFn fn) { map_setup_ = std::move(fn); }
-  void set_reduce_setup(SetupFn fn) { reduce_setup_ = std::move(fn); }
-
-  // Optional combiner run on each map task's output, per partition, before
-  // the shuffle (Hadoop's local aggregation).
-  void set_combiner(CombineFn fn) { shuffle_.set_combiner(std::move(fn)); }
-
-  // Optional per-pair wire size under the job's serde encoding; enables the
-  // "mr.shuffle.bytes" accounting ("mr.shuffle.records" is always counted).
-  void set_wire_size(WireSizeFn fn) { shuffle_.set_wire_size(std::move(fn)); }
-
   // Optional cleanup run at the end of each reduce task, after its last
   // group (may still charge cost and emit). Runs only on attempts that
   // complete — never on failed ones.
   void set_reduce_cleanup(ReduceCleanupFn fn) {
     reduce_cleanup_ = std::move(fn);
   }
-
-  // Optional hook run when a task attempt fails (see TaskAbortFn).
-  void set_task_abort(TaskAbortFn fn) { task_abort_ = std::move(fn); }
 
   // Marks this job's map function as poison-sensitive: the records listed
   // in FaultConfig::poison_records crash its map attempts, engaging the
@@ -224,13 +204,17 @@ class MapReduceJob {
   // pre-pass) stay immune, exactly like a Hadoop job without skipping.
   void set_poison_faults(bool sensitive) { poison_faults_ = sensitive; }
 
-  // Driver-state snapshot/restore hooks for checkpointed recovery. `save`
-  // returns a type-erased copy of the driver's per-task state; `restore`
-  // replaces the task's state with a snapshot, or resets it to
-  // freshly-constructed when the snapshot is null (no checkpoint yet).
-  using SaveStateFn = std::function<std::shared_ptr<const void>(int task_id)>;
-  using RestoreStateFn =
-      std::function<void(int task_id, const void* snapshot)>;
+  // Hooks for jobs that keep external per-reduce-task state (sinks indexed
+  // by task_id) beside their outputs. `restore(t, snapshot)` rewinds task
+  // t's state to a snapshot `save` returned, or to freshly constructed when
+  // the snapshot is null. Run calls it before every reduce attempt and on
+  // every quarantine or deadline rewind, so a failed attempt's partial
+  // state never reaches the retry or the results. `save` runs only under
+  // set_checkpointing, at each alpha boundary.
+  void set_task_state(SaveStateFn save, RestoreStateFn restore) {
+    save_state_ = std::move(save);
+    restore_state_ = std::move(restore);
+  }
 
   // Enables checkpointed progressive recovery of reduce tasks: after each
   // group, when the task's cost clock crosses a multiple of `alpha` (the
@@ -239,13 +223,10 @@ class MapReduceJob {
   // resumes instead of replaying from scratch. `store` must outlive Run,
   // which resets it at submission. Outputs stay byte-identical to a
   // fault-free run; only the "mr." bookkeeping and the simulated timeline
-  // change. Drivers that keep the abort-reset path simply never call this.
-  void set_checkpointing(double alpha, CheckpointStore* store,
-                         SaveStateFn save, RestoreStateFn restore) {
+  // change.
+  void set_checkpointing(double alpha, CheckpointStore* store) {
     checkpoint_alpha_ = alpha;
     checkpoint_store_ = store;
-    checkpoint_save_ = std::move(save);
-    checkpoint_restore_ = std::move(restore);
   }
 
   // Runs the job on `input` using `cluster` for both real thread parallelism
@@ -478,7 +459,7 @@ class MapReduceJob {
         [&s, this](const TaskAttemptRunner::Attempt& attempt) {
           return RunMapAttempt(s, attempt);
         },
-        task_abort_);
+        nullptr);
     s.seam.EndPhase(TaskPhase::kMap);
     s.result.timing.wall.map_seconds = s.wall_watch.ElapsedSeconds();
   }
@@ -522,7 +503,6 @@ class MapReduceJob {
           attempt.fails ? attempt.fail_point : attempt.hang_point;
       limit = static_cast<size_t>(static_cast<double>(limit) * point);
     }
-    if (map_setup_) map_setup_(attempt.task);
     TaskAttemptRunner::BodyOutcome out;
     for (size_t i = lo; i < lo + limit; ++i) {
       if (poison_active && plan.IsPoisonRecord(static_cast<int64_t>(i))) {
@@ -546,10 +526,7 @@ class MapReduceJob {
       map_fn(input[i], &ctx);
       ++ctx.stats_.records_in;
     }
-    if (!cut && !out.poison_crashed) {
-      shuffle_.Combine(&ctx.output_);
-      ctx.stats_.cost = ctx.clock_.units();
-    }
+    if (!cut && !out.poison_crashed) ctx.stats_.cost = ctx.clock_.units();
     out.cost = ctx.clock_.units();
     return out;
   }
@@ -594,9 +571,9 @@ class MapReduceJob {
       return false;
     }
 
-    // Post-combine shuffle volume of the winning map attempts, and every
-    // sorted spill run that will feed the reduce-side merges (one
-    // kSpillWrite span per run).
+    // Shuffle volume of the winning map attempts, and every sorted spill
+    // run that will feed the reduce-side merges (one kSpillWrite span per
+    // run).
     typename JobShuffle::Volume volume;
     int64_t spill_runs = 0;
     int64_t spill_records = 0;
@@ -762,7 +739,7 @@ class MapReduceJob {
           return TaskAttemptRunner::BodyOutcome{
               task.ctx.clock_.units() - task.base, false};
         },
-        [&s, this](TaskPhase phase, int t, int attempt) {
+        [&s, this](int t) {
           // The retry repeats everything past the last checkpoint (from
           // scratch without one) — the measurable price of the failure.
           ReduceTask& task = s.reduce_task(t);
@@ -771,7 +748,6 @@ class MapReduceJob {
               checkpoint != nullptr ? checkpoint->records_in : 0;
           task.replayed +=
               std::max<int64_t>(0, task.ctx.stats_.records_in - kept);
-          if (task_abort_) task_abort_(phase, t, attempt);
         });
     s.seam.EndPhase(TaskPhase::kReduce);
 
@@ -855,8 +831,8 @@ class MapReduceJob {
 
     const int lost_map = ScheduleMap(s);
     if (lost_map >= 0 && !result.failed) {
-      FailOnLostCluster(&result, TaskPhase::kMap, lost_map);
-      return false;
+      return Fail(s, "map task " + std::to_string(lost_map) +
+                         " lost: no healthy machines remain");
     }
     const double map_end = result.timing.map_end;
     if (s.wall_expired) {
@@ -892,8 +868,8 @@ class MapReduceJob {
     result.timing.end = schedule.end_time;
     s.unplaced = std::move(schedule.unplaced_tasks);
     if (schedule.failed && !result.failed) {
-      FailOnLostCluster(&result, TaskPhase::kReduce, schedule.failed_task);
-      return false;
+      return Fail(s, "reduce task " + std::to_string(schedule.failed_task) +
+                         " lost: no healthy machines remain");
     }
     return true;
   }
@@ -1317,19 +1293,18 @@ class MapReduceJob {
     return checkpointing() ? checkpoint_store_->Latest(task) : nullptr;
   }
 
-  // Rewinds a reduce context, driver state included, to `checkpoint` — or
-  // to a fresh start when it is null.
+  // Rewinds a reduce context, external task state included, to
+  // `checkpoint` — or to a fresh start when it is null.
   void Rewind(ReduceContext* ctx, const TaskCheckpoint* checkpoint) {
     if (checkpoint == nullptr) {
       ResetReduceContext(ctx);
-      if (checkpointing() && checkpoint_restore_) {
-        checkpoint_restore_(ctx->task_id_, nullptr);
-      }
-      return;
+    } else {
+      RestoreReduceContext(ctx, *checkpoint);
     }
-    RestoreReduceContext(ctx, *checkpoint);
-    if (checkpoint_restore_) {
-      checkpoint_restore_(ctx->task_id_, checkpoint->driver_state.get());
+    if (restore_state_) {
+      restore_state_(ctx->task_id_, checkpoint != nullptr
+                                        ? checkpoint->driver_state.get()
+                                        : nullptr);
     }
   }
 
@@ -1403,7 +1378,7 @@ class MapReduceJob {
         KvCodec<V>::Encode(kv.second, &checkpoint.encoded_outputs);
       }
     }
-    if (checkpoint_save_) checkpoint.driver_state = checkpoint_save_(task);
+    if (save_state_) checkpoint.driver_state = save_state_(task);
     checkpoint_store_->Save(task, std::move(checkpoint));
     seam.MarkCheckpoint(SpanKind::kCheckpointSave, task, units);
   }
@@ -1431,7 +1406,6 @@ class MapReduceJob {
                   (attempt.fails ? attempt.fail_point : attempt.hang_point))
             : pairs.size() + 1;
 
-    if (reduce_setup_) reduce_setup_(attempt.task);
     int64_t group_index = 0;
     JobShuffle::ForEachGroup(
         &pairs, limit, [&](const K& key, std::vector<V>* values) {
@@ -1447,37 +1421,16 @@ class MapReduceJob {
     }
   }
 
-  // Clean job failure when a task ran out of machines to run on: keeps the
-  // "mr." bookkeeping but scrubs user-visible data, which Result documents
-  // as unspecified on failure.
-  void FailOnLostCluster(Result* result, TaskPhase phase, int task) {
-    result->failed = true;
-    result->error =
-        std::string(phase == TaskPhase::kMap ? "map" : "reduce") + " task " +
-        std::to_string(task) + " lost: no healthy machines remain";
-    result->outputs.clear();
-    result->map_stats.clear();
-    result->reduce_stats.clear();
-    Counters scrubbed;
-    for (const auto& [name, value] : result->counters.values()) {
-      if (name.rfind("mr.", 0) == 0) scrubbed.Increment(name, value);
-    }
-    result->counters = std::move(scrubbed);
-  }
-
   int num_map_tasks_;
   int num_reduce_tasks_;
   JobShuffle shuffle_;
   double map_cost_per_record_ = 1.0;
-  SetupFn map_setup_;
-  SetupFn reduce_setup_;
   ReduceCleanupFn reduce_cleanup_;
-  TaskAbortFn task_abort_;
   bool poison_faults_ = false;
+  SaveStateFn save_state_;
+  RestoreStateFn restore_state_;
   double checkpoint_alpha_ = 0.0;
   CheckpointStore* checkpoint_store_ = nullptr;
-  SaveStateFn checkpoint_save_;
-  RestoreStateFn checkpoint_restore_;
 };
 
 }  // namespace progres

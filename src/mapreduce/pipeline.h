@@ -11,8 +11,8 @@
 
 namespace progres {
 
-// Outcome of one pipeline stage. MapReduce stages carry the job's timing,
-// stats and counters; computation stages (driver-side work charged as clock
+// Outcome of one pipeline stage. MapReduce stages carry the job's timing
+// and counters; computation stages (driver-side work charged as clock
 // time, e.g. schedule generation) carry only an end time.
 struct StageResult {
   bool failed = false;
@@ -25,8 +25,6 @@ struct StageResult {
   double wall_seconds = 0.0;
   Counters counters;
   JobTiming timing;
-  std::vector<TaskStats> map_stats;
-  std::vector<TaskStats> reduce_stats;
 };
 
 // Adapts a MapReduceJob<...>::Result into a StageResult. `error_prefix`
@@ -44,8 +42,6 @@ StageResult StageResultFromJob(JobResult&& result,
   stage.wall_seconds = result.timing.wall.total_seconds;
   stage.counters = std::move(result.counters);
   stage.timing = std::move(result.timing);
-  stage.map_stats = std::move(result.map_stats);
-  stage.reduce_stats = std::move(result.reduce_stats);
   return stage;
 }
 

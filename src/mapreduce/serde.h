@@ -77,8 +77,8 @@ template <typename T, typename Enable = void>
 struct KvCodec;
 
 // Integers travel as varints of their two's-complement bit pattern — the
-// same `VarintSize(static_cast<uint64_t>(v))` form the drivers' wire-size
-// accounting has always used. Callers with many small negatives should
+// same `VarintSize(static_cast<uint64_t>(v))` form the drivers' own
+// "shuffle.bytes" counters use. Callers with many small negatives should
 // ZigZag inside their own codec.
 template <typename T>
 struct KvCodec<

@@ -20,8 +20,8 @@ namespace progres {
 
 // The shuffle of one MapReduce job as a first-class component: it owns the
 // partition function, the map-side KV block buffers (one chain per reduce
-// partition), the optional combiner, the spill-to-disk path that keeps a
-// map task inside its memory budget, and the reduce-side gather/merge.
+// partition), the spill-to-disk path that keeps a map task inside its
+// memory budget, and the reduce-side gather/merge.
 // MapReduceJob composes a Shuffle with the task-attempt runner and the
 // timing model; tests can exercise the shuffle in isolation.
 //
@@ -29,19 +29,17 @@ namespace progres {
 // KvCodec for K and V (serde.h) into fixed-size blocks, replacing the old
 // per-partition std::vector<std::pair<K, V>>. When SpillConfig::enabled and
 // a map task's buffered bytes cross its budget share, every partition is
-// decoded, sorted (stably, by key), combined, re-encoded and appended to a
-// spill-run file (spill.h); GatherSorted then k-way merges the runs with
-// the sorted in-memory tail. The merge's tie-break — (map task, run order,
-// memory last) — reproduces exactly the stable_sort order of the all-in-
-// memory path, so outputs are byte-identical with spilling off or forced
-// on.
+// decoded, sorted (stably, by key), re-encoded and appended to a spill-run
+// file (spill.h); GatherSorted then k-way merges the runs with the sorted
+// in-memory tail. The merge's tie-break — (map task, run order, memory
+// last) — reproduces exactly the stable_sort order of the all-in-memory
+// path, so outputs are byte-identical with spilling off or forced on.
 //
 // The component also *accounts* for the data crossing it: MeasureVolume
-// reports the post-combine record count of a map task's output, and — when
-// a wire-size function is configured — the serialized byte volume (without
-// one, the actual encoded bytes). The runtime exports these under the
-// reserved "mr.shuffle.records" and "mr.shuffle.bytes" counters, and the
-// spill machinery under "mr.spill.*" (see counters.h).
+// reports the record count and the encoded bytes of a map task's output.
+// The runtime exports these under the reserved "mr.shuffle.records" and
+// "mr.shuffle.bytes" counters, and the spill machinery under "mr.spill.*"
+// (see counters.h).
 template <typename K, typename V>
 class Shuffle {
   static_assert(SerdeEncodable<K>,
@@ -54,14 +52,6 @@ class Shuffle {
  public:
   using KV = std::pair<K, V>;
   using PartitionFn = std::function<int(const K&, int num_partitions)>;
-  // Combiner: reduces one map task's values for a key into replacement
-  // pairs appended to `out` (local aggregation before the shuffle).
-  using CombineFn =
-      std::function<void(const K&, std::vector<V>*, std::vector<KV>*)>;
-  // Wire size of one (key, value) pair under the job's serde encoding;
-  // feeds the "mr.shuffle.bytes" accounting. Optional — without it the
-  // accounting falls back to the codecs' actual encoded size.
-  using WireSizeFn = std::function<int64_t(const K&, const V&)>;
 
   // Memory policy of the map-side buffers, set by MapReduceJob::Run from
   // ClusterConfig::shuffle_budget. Disabled (the default) means buffers
@@ -89,6 +79,13 @@ class Shuffle {
     std::string error;            // non-empty on spill read/decode failure
   };
 
+  // Records and encoded bytes of one map task's output — what crosses the
+  // map/reduce boundary, spilled runs included.
+  struct Volume {
+    int64_t records = 0;
+    int64_t bytes = 0;
+  };
+
   explicit Shuffle(int num_partitions)
       : num_partitions_(std::max(1, num_partitions)),
         partition_([](const K& key, int r) {
@@ -102,15 +99,10 @@ class Shuffle {
                                   static_cast<uint64_t>(r));
         }) {}
 
-  int num_partitions() const { return num_partitions_; }
-  bool has_combiner() const { return static_cast<bool>(combiner_); }
-
   void set_partitioner(PartitionFn fn) {
     partition_ = std::move(fn);
     default_partitioner_ = false;
   }
-  void set_combiner(CombineFn fn) { combiner_ = std::move(fn); }
-  void set_wire_size(WireSizeFn fn) { wire_size_ = std::move(fn); }
   void set_spill(SpillConfig config) { spill_ = std::move(config); }
   const SpillConfig& spill_config() const { return spill_; }
 
@@ -148,7 +140,6 @@ class Shuffle {
     MapOutput& operator=(const MapOutput&) = delete;
     ~MapOutput() { DeleteSpillFiles(); }
 
-    void Reset(const Shuffle& shuffle) { Reset(shuffle, task_); }
     void Reset(const Shuffle& shuffle, int task) {
       shuffle_ = &shuffle;
       task_ = task;
@@ -206,9 +197,6 @@ class Shuffle {
       KvCodec<V>::Encode(value, &scratch_);
       AppendEncoded(&bucket, scratch_);
       ++bucket.records;
-      bucket.wire_bytes += shuffle_->wire_size_
-                               ? shuffle_->wire_size_(key, value)
-                               : static_cast<int64_t>(scratch_.size());
       if (shuffle_->spill_.enabled && spill_error_.empty() &&
           mem_bytes_ >= shuffle_->spill_.task_buffer_bytes) {
         Spill();
@@ -218,27 +206,21 @@ class Shuffle {
     // The sorted runs this task has spilled so far (winning attempts only —
     // Reset removed any failed attempt's).
     const std::vector<SpillRun>& spill_runs() const { return runs_; }
-    // Encoded bytes currently buffered in memory.
-    int64_t buffered_bytes() const { return mem_bytes_; }
     // Non-empty after a spill write failed; the job fails with it at the
     // map barrier (the buffered data stayed in memory, but the budget
     // contract is broken and the configuration needs fixing, not retrying).
     const std::string& spill_error() const { return spill_error_; }
     // Storage-fault tallies of this attempt's spill writes so far.
     const DiskStats& disk_stats() const { return disk_stats_; }
-    // This execution's generation number (set by ConfigureSpill).
-    int generation() const { return generation_; }
 
    private:
     friend class Shuffle;
 
     // One partition's buffered records: sealed blocks of at most
-    // block_bytes each (records never straddle blocks) plus running
-    // post-combine tallies for the volume accounting.
+    // block_bytes each (records never straddle blocks) and their count.
     struct Bucket {
       std::vector<std::string> blocks;
       int64_t records = 0;
-      int64_t wire_bytes = 0;
     };
 
     void AppendEncoded(Bucket* bucket, std::string_view record) {
@@ -253,16 +235,14 @@ class Shuffle {
       mem_bytes_ += static_cast<int64_t>(record.size());
     }
 
-    // Sorts, combines and writes every partition's buffered records as one
-    // spill run, then resets the in-memory chains. On I/O failure the run
-    // is dropped, the buffers stay, and spill_error_ carries the label.
+    // Sorts and writes every partition's buffered records as one spill
+    // run, then resets the in-memory chains. On I/O failure the run is
+    // dropped, the buffers stay, and spill_error_ carries the label.
     void Spill() {
       std::vector<std::string> payloads(
           static_cast<size_t>(shuffle_->num_partitions_));
       std::vector<int64_t> records(
           static_cast<size_t>(shuffle_->num_partitions_), 0);
-      std::vector<typename Shuffle::Volume> volumes(
-          static_cast<size_t>(shuffle_->num_partitions_));
       for (int r = 0; r < shuffle_->num_partitions_; ++r) {
         Bucket& bucket = buckets_[static_cast<size_t>(r)];
         std::vector<KV> pairs;
@@ -272,32 +252,22 @@ class Shuffle {
           spill_error_ = error;
           return;
         }
-        shuffle_->SortAndCombine(&pairs);
+        SortByKey(&pairs);
         std::string& payload = payloads[static_cast<size_t>(r)];
         for (const KV& kv : pairs) {
           KvCodec<K>::Encode(kv.first, &payload);
           KvCodec<V>::Encode(kv.second, &payload);
-          volumes[static_cast<size_t>(r)].bytes +=
-              shuffle_->wire_size_
-                  ? shuffle_->wire_size_(kv.first, kv.second)
-                  : 0;
         }
-        if (!shuffle_->wire_size_) {
-          volumes[static_cast<size_t>(r)].bytes =
-              static_cast<int64_t>(payload.size());
-        }
-        volumes[static_cast<size_t>(r)].records =
-            static_cast<int64_t>(pairs.size());
         records[static_cast<size_t>(r)] = static_cast<int64_t>(pairs.size());
       }
       SpillRun run;
       if (!WriteRunWithFaults(payloads, records, &run)) return;
       for (int r = 0; r < shuffle_->num_partitions_; ++r) {
+        const std::string& payload = payloads[static_cast<size_t>(r)];
         spill_crc_[static_cast<size_t>(r)] =
-            Crc32(payloads[static_cast<size_t>(r)],
-                  spill_crc_[static_cast<size_t>(r)]);
-        spilled_volume_.records += volumes[static_cast<size_t>(r)].records;
-        spilled_volume_.bytes += volumes[static_cast<size_t>(r)].bytes;
+            Crc32(payload, spill_crc_[static_cast<size_t>(r)]);
+        spilled_volume_.records += records[static_cast<size_t>(r)];
+        spilled_volume_.bytes += static_cast<int64_t>(payload.size());
       }
       runs_.push_back(std::move(run));
       buckets_.clear();
@@ -405,10 +375,6 @@ class Shuffle {
     // PartitionChecksum continues it over the in-memory blocks.
     std::vector<uint32_t> spill_crc_;
     int64_t mem_bytes_ = 0;
-    struct Volume {
-      int64_t records = 0;
-      int64_t bytes = 0;
-    };
     Volume spilled_volume_;
     std::string spill_error_;
     std::string scratch_;
@@ -419,51 +385,12 @@ class Shuffle {
     DiskStats disk_stats_;
   };
 
-  // Applies the combiner to every partition's *in-memory* records of a
-  // finished map attempt (spilled runs were already combined when written):
-  // values are grouped by key locally and replaced by the combiner's
-  // output, re-encoded. No-op without a combiner.
-  void Combine(MapOutput* out) const {
-    if (!combiner_) return;
-    for (auto& bucket : out->buckets_) {
-      std::vector<KV> pairs;
-      std::string error;
-      DecodeBucket(bucket, &pairs, &error);
-      if (!error.empty()) {
-        if (out->spill_error_.empty()) out->spill_error_ = error;
-        return;
-      }
-      SortAndCombine(&pairs);
-      out->mem_bytes_ -= BucketBytes(bucket);
-      bucket = typename MapOutput::Bucket{};
-      std::string encoded;
-      for (const KV& kv : pairs) {
-        encoded.clear();
-        KvCodec<K>::Encode(kv.first, &encoded);
-        KvCodec<V>::Encode(kv.second, &encoded);
-        out->AppendEncoded(&bucket, encoded);
-        ++bucket.records;
-        bucket.wire_bytes += wire_size_
-                                 ? wire_size_(kv.first, kv.second)
-                                 : static_cast<int64_t>(encoded.size());
-      }
-    }
-  }
-
-  // Post-combine shuffle volume of one map task's output — what actually
-  // crosses the map/reduce boundary, spilled runs included. `bytes` uses
-  // the wire-size function when set, the encoded size otherwise.
-  struct Volume {
-    int64_t records = 0;
-    int64_t bytes = 0;
-  };
+  // Shuffle volume of one map task's output, spilled runs included.
   Volume MeasureVolume(const MapOutput& out) const {
-    Volume volume;
-    volume.records = out.spilled_volume_.records;
-    volume.bytes = out.spilled_volume_.bytes;
+    Volume volume = out.spilled_volume_;
     for (const auto& bucket : out.buckets_) {
       volume.records += bucket.records;
-      volume.bytes += bucket.wire_bytes;
+      volume.bytes += BucketBytes(bucket);
     }
     return volume;
   }
@@ -517,10 +444,7 @@ class Shuffle {
         DecodeBucket(m->buckets_[static_cast<size_t>(r)], &pairs, &gs.error);
         if (!gs.error.empty()) return {};
       }
-      std::stable_sort(pairs.begin(), pairs.end(),
-                       [](const KV& a, const KV& b) {
-                         return a.first < b.first;
-                       });
+      SortByKey(&pairs);
       return pairs;
     }
 
@@ -547,10 +471,7 @@ class Shuffle {
         auto source = std::make_unique<MergeSource>();
         DecodeBucket(bucket, &source->mem, &gs.error);
         if (!gs.error.empty()) return {};
-        std::stable_sort(source->mem.begin(), source->mem.end(),
-                         [](const KV& a, const KV& b) {
-                           return a.first < b.first;
-                         });
+        SortByKey(&source->mem);
         sources.push_back(std::move(source));
         total += static_cast<size_t>(bucket.records);
       }
@@ -686,30 +607,13 @@ class Shuffle {
     }
   }
 
-  // Stable sort by key, then local aggregation through the combiner (when
-  // set) — shared by Combine and the spill writer.
-  void SortAndCombine(std::vector<KV>* pairs) const {
+  // Stable sort by key: equal keys keep their emission order. Shared by
+  // the spill writer and the reduce-side gather.
+  static void SortByKey(std::vector<KV>* pairs) {
     std::stable_sort(pairs->begin(), pairs->end(),
                      [](const KV& a, const KV& b) {
                        return a.first < b.first;
                      });
-    if (!combiner_) return;
-    std::vector<KV> combined;
-    size_t i = 0;
-    while (i < pairs->size()) {
-      size_t j = i;
-      while (j < pairs->size() && !((*pairs)[i].first < (*pairs)[j].first)) {
-        ++j;
-      }
-      std::vector<V> values;
-      values.reserve(j - i);
-      for (size_t k = i; k < j; ++k) {
-        values.push_back(std::move((*pairs)[k].second));
-      }
-      combiner_((*pairs)[i].first, &values, &combined);
-      i = j;
-    }
-    *pairs = std::move(combined);
   }
 
   static int64_t BucketBytes(const typename MapOutput::Bucket& bucket) {
@@ -725,8 +629,6 @@ class Shuffle {
   // True until set_partitioner replaces the FNV-1a default; lets Add hash
   // the encoded key bytes it just wrote rather than re-encoding the key.
   bool default_partitioner_ = true;
-  CombineFn combiner_;
-  WireSizeFn wire_size_;
   SpillConfig spill_;
 };
 

@@ -12,8 +12,8 @@ namespace progres {
 // File plumbing of the out-of-core shuffle (see shuffle.h). A map task
 // whose in-memory KV blocks cross the task's share of the shuffle budget
 // writes a *spill run*: one private file holding every partition's sorted
-// (and combined) records back to back, with the per-partition byte ranges
-// kept in memory. The reduce-side gather then k-way merges the runs with
+// records back to back, with the per-partition byte ranges kept in
+// memory. The reduce-side gather then k-way merges the runs with
 // the in-memory tail through buffered segment readers, so peak memory stays
 // bounded by the budget, not the data.
 

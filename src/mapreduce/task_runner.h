@@ -16,12 +16,14 @@
 namespace progres {
 
 // Executes the attempt chains of one phase's tasks, encapsulating the
-// retry/abort bookkeeping of the fault-tolerant runtime: per the FaultPlan,
-// each task runs its failing attempts first (each one reset beforehand and
-// reported to the abort hook afterwards, so external per-task state never
-// double-counts), then the winning attempt. Per-attempt costs and doomed
-// tasks are recorded for the attempt-aware timing model
-// (ScheduleTaskAttemptsOnCluster) and the "mr." fault counters.
+// retry bookkeeping of the fault-tolerant runtime: per the FaultPlan, each
+// task runs its failing attempts first, then the winning attempt. The reset
+// hook prepares every attempt — MapReduceJob rewinds the task's context and
+// its external per-task state there, so a retry never double-counts — and
+// the optional abort hook observes each failed attempt before the retry.
+// Per-attempt costs and doomed tasks are recorded for the attempt-aware
+// timing model (ScheduleTaskAttemptsOnCluster) and the "mr." fault
+// counters.
 //
 // With checkpointed recovery (checkpoint.h) the reset hook restores the
 // task's last snapshot instead of clearing it, and the body reports the
@@ -53,7 +55,8 @@ class TaskAttemptRunner {
 
   using ResetFn = std::function<void(int task)>;
   using BodyFn = std::function<BodyOutcome(const Attempt&)>;
-  using AbortFn = std::function<void(TaskPhase phase, int task, int attempt)>;
+  // Observes a failed attempt of `task`, before its retry.
+  using AbortFn = std::function<void(int task)>;
 
   TaskAttemptRunner(TaskPhase phase, int num_tasks, const FaultPlan* plan)
       : phase_(phase),
@@ -111,7 +114,7 @@ class TaskAttemptRunner {
         const bool failed = a.fails || a.hangs || out.poison_crashed;
         seam.EndAttempt(token, failed, hung);
         if (!failed) break;  // the winner
-        if (abort) abort(phase_, t, attempt);
+        if (abort) abort(t);
         ++attempt;
         if (attempt >= max_attempts) {
           doomed_[static_cast<size_t>(t)] = 1;

@@ -126,7 +126,7 @@ Job::Result RunJob(const ClusterConfig& cluster, CheckpointStore* store,
     ctx->Emit(-1, ctx->task_id());
   });
   if (store != nullptr) {
-    job.set_checkpointing(alpha, store, nullptr, nullptr);
+    job.set_checkpointing(alpha, store);
   }
   return job.Run(
       input,
@@ -228,20 +228,18 @@ TEST(JobCheckpointTest, DriverStateHooksRoundTrip) {
     job.set_map_cost_per_record(0.5);
     job.set_partitioner([](const int& key, int r) { return key % r; });
     states->assign(kReduceTasks, {});
-    if (store != nullptr) {
-      job.set_checkpointing(
-          10.0, store,
-          [states](int task_id) -> std::shared_ptr<const void> {
-            return std::make_shared<const TaskState>(
-                (*states)[static_cast<size_t>(task_id)]);
-          },
-          [states](int task_id, const void* snapshot) {
-            TaskState& state = (*states)[static_cast<size_t>(task_id)];
-            state = snapshot == nullptr
-                        ? TaskState()
-                        : *static_cast<const TaskState*>(snapshot);
-          });
-    }
+    job.set_task_state(
+        [states](int task_id) -> std::shared_ptr<const void> {
+          return std::make_shared<const TaskState>(
+              (*states)[static_cast<size_t>(task_id)]);
+        },
+        [states](int task_id, const void* snapshot) {
+          TaskState& state = (*states)[static_cast<size_t>(task_id)];
+          state = snapshot == nullptr
+                      ? TaskState()
+                      : *static_cast<const TaskState*>(snapshot);
+        });
+    if (store != nullptr) job.set_checkpointing(10.0, store);
     return job.Run(
         input,
         [](const int& record, Job::MapContext* ctx) {

@@ -84,7 +84,6 @@ TEST(JobCountersTest, UserCountersIndependentOfReservedOnes) {
   // names, and merging tasks sums the two families independently.
   using Job = MapReduceJob<int, int, int>;
   Job job(2, 2);
-  job.set_wire_size([](const int&, const int&) { return int64_t{8}; });
   std::vector<int> input = {1, 2, 3, 4};
   const auto result = job.Run(
       input,
@@ -103,7 +102,8 @@ TEST(JobCountersTest, UserCountersIndependentOfReservedOnes) {
   EXPECT_EQ(result.counters.Get("mr.attempts"), 4);  // 2 map + 2 reduce tasks
   EXPECT_EQ(result.counters.Get("mr.failed_attempts"), 0);
   EXPECT_EQ(result.counters.Get("mr.shuffle.records"), 4);
-  EXPECT_EQ(result.counters.Get("mr.shuffle.bytes"), 32);
+  // Each pair encodes as a one-byte key and a one-byte value.
+  EXPECT_EQ(result.counters.Get("mr.shuffle.bytes"), 8);
   for (const auto& [name, value] : result.counters.values()) {
     if (name.rfind("mr.", 0) == 0) continue;
     EXPECT_TRUE(name.rfind("user.", 0) == 0) << name;
@@ -117,7 +117,7 @@ TEST(JobCountersTest, RetriedAttemptsDoNotDoubleCountUserCounters) {
   using Job = MapReduceJob<int, int, int>;
   const auto run = [](const ClusterConfig& cluster, CheckpointStore* store) {
     Job job(2, 2);
-    if (store != nullptr) job.set_checkpointing(5.0, store, nullptr, nullptr);
+    if (store != nullptr) job.set_checkpointing(5.0, store);
     std::vector<int> input;
     for (int i = 0; i < 60; ++i) input.push_back(i);
     return job.Run(
@@ -165,12 +165,11 @@ TEST(JobCountersTest, RetriedAttemptsDoNotDoubleCountUserCounters) {
 
 TEST(JobCountersTest, ShuffleAccountingSkipsEmptyPartitions) {
   // A partitioner that routes everything to reduce task 0 leaves the other
-  // partitions empty: wire-size accounting must count only the pairs that
+  // partitions empty: byte accounting must count only the pairs that
   // actually cross the shuffle, and empty partitions contribute nothing.
   using Job = MapReduceJob<int, int, int>;
   Job job(2, 4);
   job.set_partitioner([](const int&, int) { return 0; });
-  job.set_wire_size([](const int&, const int&) { return int64_t{8}; });
   std::vector<int> input = {1, 2, 3, 4, 5};
   const auto result = job.Run(
       input,
@@ -181,7 +180,7 @@ TEST(JobCountersTest, ShuffleAccountingSkipsEmptyPartitions) {
       TestCluster());
   ASSERT_FALSE(result.failed);
   EXPECT_EQ(result.counters.Get("mr.shuffle.records"), 5);
-  EXPECT_EQ(result.counters.Get("mr.shuffle.bytes"), 40);
+  EXPECT_EQ(result.counters.Get("mr.shuffle.bytes"), 10);  // 2 bytes a pair
   EXPECT_EQ(result.counters.Get("reduce.groups"), 5);
   // All four reduce tasks ran; three saw no input.
   ASSERT_EQ(result.reduce_stats.size(), 4u);
@@ -189,68 +188,6 @@ TEST(JobCountersTest, ShuffleAccountingSkipsEmptyPartitions) {
   for (size_t t = 1; t < 4; ++t) {
     EXPECT_EQ(result.reduce_stats[t].records_in, 0);
   }
-}
-
-TEST(JobCombinerTest, AggregatesBeforeShuffle) {
-  using Job = MapReduceJob<int, int, int>;
-  Job job(2, 2);
-  // 100 records, 4 keys: the combiner collapses each map task's values to
-  // one pair per key, so the reduce side sees at most tasks * keys values.
-  std::vector<int> input;
-  for (int i = 0; i < 100; ++i) input.push_back(i);
-  job.set_combiner([](const int& key, std::vector<int>* values,
-                      std::vector<std::pair<int, int>>* out) {
-    int sum = 0;
-    for (int v : *values) sum += v;
-    out->emplace_back(key, sum);
-  });
-  std::mutex mu;
-  int64_t reduce_values = 0;
-  int64_t total = 0;
-  job.Run(
-      input,
-      [](const int& record, Job::MapContext* ctx) {
-        ctx->Emit(record % 4, record);
-      },
-      [&](const int&, std::vector<int>* values, Job::ReduceContext*) {
-        std::lock_guard<std::mutex> lock(mu);
-        reduce_values += static_cast<int64_t>(values->size());
-        for (int v : *values) total += v;
-      },
-      TestCluster());
-  EXPECT_LE(reduce_values, 2 * 4);  // map tasks * keys
-  EXPECT_EQ(total, 99 * 100 / 2);   // sums preserved
-}
-
-TEST(JobCombinerTest, CombinerPreservesResults) {
-  using Job = MapReduceJob<std::string, std::string, int>;
-  const std::vector<std::string> input = {"a", "b", "a", "c", "a", "b"};
-  const auto run = [&input](bool with_combiner) {
-    Job job(3, 2);
-    if (with_combiner) {
-      job.set_combiner([](const std::string& key, std::vector<int>* values,
-                          std::vector<std::pair<std::string, int>>* out) {
-        int sum = 0;
-        for (int v : *values) sum += v;
-        out->emplace_back(key, sum);
-      });
-    }
-    auto result = job.Run(
-        input,
-        [](const std::string& record, Job::MapContext* ctx) {
-          ctx->Emit(record, 1);
-        },
-        [](const std::string& key, std::vector<int>* values,
-           Job::ReduceContext* ctx) {
-          int sum = 0;
-          for (int v : *values) sum += v;
-          ctx->Emit(key, sum);
-        },
-        TestCluster());
-    std::sort(result.outputs.begin(), result.outputs.end());
-    return result.outputs;
-  };
-  EXPECT_EQ(run(true), run(false));
 }
 
 TEST(JobCleanupTest, RunsOncePerReduceTask) {

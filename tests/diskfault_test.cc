@@ -528,7 +528,7 @@ IntJob::Result RunIntJob(const ClusterConfig& cluster, CheckpointStore* store,
   job.set_map_cost_per_record(0.5);
   job.set_partitioner([](const int& key, int r) { return key % r; });
   if (store != nullptr) {
-    job.set_checkpointing(10.0, store, nullptr, nullptr);
+    job.set_checkpointing(10.0, store);
   }
   return job.Run(
       input,

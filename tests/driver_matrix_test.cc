@@ -185,6 +185,32 @@ TEST_P(GoldenEquivalenceTest, TracingLeavesOutputByteIdentical) {
       << name << " recorded no spans while traced";
 }
 
+// The drivers price every emitted pair into their own "shuffle.bytes"
+// counter with a formula that shares no code with the KvCodec encoding;
+// the runtime's "mr.shuffle.bytes" counts the encoded bytes the shuffle
+// actually stored. The two must agree, in memory and spilled alike. (MRSN
+// keeps no such counter.)
+TEST(ShuffleBytesTest, DriverCounterMatchesEncodedBytes) {
+  const testing_util::GoldenWorkload w = testing_util::MakeGoldenWorkload();
+  for (const bool spill : {false, true}) {
+    for (const std::string name :
+         {"basic", "progressive_perblock", "progressive_pertree"}) {
+      SCOPED_TRACE(name + (spill ? " spilled" : " in memory"));
+      ClusterConfig cluster = testing_util::GoldenCluster();
+      if (spill) cluster.shuffle_budget = testing_util::TinySpillBudget();
+      testing_util::ApplyTestOverlays(&cluster);
+      const ErRunResult result = testing_util::RunGoldenEr(w, name, cluster);
+      ASSERT_FALSE(result.failed) << result.error;
+      if (spill) {
+        EXPECT_GT(result.counters.Get("mr.spill.runs"), 0);
+      }
+      EXPECT_GT(result.counters.Get("shuffle.bytes"), 0);
+      EXPECT_EQ(result.counters.Get("mr.shuffle.bytes"),
+                result.counters.Get("shuffle.bytes"));
+    }
+  }
+}
+
 // The *_forced_spill and *_disk_faults variants of this suite test the
 // out-of-core path only if both of its cluster factories really spill under
 // them: RunGoldenDriver (one kSpillWrite span per spill run) and the grid's

@@ -144,6 +144,50 @@ inline std::vector<std::string> GoldenDriverNames() {
           "stats"};
 }
 
+// Runs the frozen configuration of one resolving driver — "basic",
+// "mrsn", "progressive_perblock" or "progressive_pertree" — on `cluster`.
+// Any other name yields a failed result.
+inline ErRunResult RunGoldenEr(const GoldenWorkload& w, const std::string& name,
+                               const ClusterConfig& cluster) {
+  const SortedNeighborMechanism sn;
+  if (name == "basic") {
+    // Basic uses the main blocking functions only.
+    std::vector<FamilySpec> mains;
+    for (int f = 0; f < w.blocking.num_families(); ++f) {
+      FamilySpec spec = w.blocking.family(f);
+      spec.prefix_lens = {spec.prefix_lens.front()};
+      mains.push_back(std::move(spec));
+    }
+    BasicErOptions options;
+    options.cluster = cluster;
+    options.popcorn_threshold = 0.001;
+    const BasicEr er(BlockingConfig(mains), w.match, sn, options);
+    return er.Run(w.data.dataset);
+  }
+  if (name == "mrsn") {
+    MrsnOptions options;
+    options.cluster = cluster;
+    options.window = 10;
+    const MrsnEr er(w.blocking, w.match, options);
+    return er.Run(w.data.dataset);
+  }
+  if (name == "progressive_perblock" || name == "progressive_pertree") {
+    const ProbabilityModel prob =
+        ProbabilityModel::Train(w.train.dataset, w.train.truth, w.blocking);
+    ProgressiveErOptions options;
+    options.cluster = cluster;
+    options.map_emission = name == "progressive_pertree"
+                               ? MapEmission::kPerTree
+                               : MapEmission::kPerBlock;
+    const ProgressiveEr er(w.blocking, w.match, sn, prob, options);
+    return er.Run(w.data.dataset);
+  }
+  ErRunResult unknown;
+  unknown.failed = true;
+  unknown.error = "unknown driver: " + name;
+  return unknown;
+}
+
 // Runs one frozen driver configuration. With `trace` non-null the run is
 // recorded (which must not change the returned dump — tracing is
 // observational; driver_matrix_test checks exactly that). `backend` selects
@@ -157,51 +201,18 @@ inline std::string RunGoldenDriver(
     ExecutionBackend backend = ExecutionBackend::kSimulated,
     int threads = 0, const ShuffleBudget& budget = {}) {
   const GoldenWorkload w = MakeGoldenWorkload();
-  const SortedNeighborMechanism sn;
   ClusterConfig cluster = GoldenCluster();
   cluster.backend = backend;
   if (threads > 0) cluster.execution_threads = threads;
   cluster.trace = trace;
   cluster.shuffle_budget = budget;
   ApplyTestOverlays(&cluster);
-  if (name == "basic") {
-    // Basic uses the main blocking functions only.
-    std::vector<FamilySpec> mains;
-    for (int f = 0; f < w.blocking.num_families(); ++f) {
-      FamilySpec spec = w.blocking.family(f);
-      spec.prefix_lens = {spec.prefix_lens.front()};
-      mains.push_back(std::move(spec));
-    }
-    BasicErOptions options;
-    options.cluster = cluster;
-    options.popcorn_threshold = 0.001;
-    const BasicEr er(BlockingConfig(mains), w.match, sn, options);
-    return DumpErRunResult(er.Run(w.data.dataset), w.data.truth);
-  }
-  if (name == "mrsn") {
-    MrsnOptions options;
-    options.cluster = cluster;
-    options.window = 10;
-    const MrsnEr er(w.blocking, w.match, options);
-    return DumpErRunResult(er.Run(w.data.dataset), w.data.truth);
-  }
-  if (name == "progressive_perblock" || name == "progressive_pertree") {
-    const ProbabilityModel prob =
-        ProbabilityModel::Train(w.train.dataset, w.train.truth, w.blocking);
-    ProgressiveErOptions options;
-    options.cluster = cluster;
-    options.map_emission = name == "progressive_pertree"
-                               ? MapEmission::kPerTree
-                               : MapEmission::kPerBlock;
-    const ProgressiveEr er(w.blocking, w.match, sn, prob, options);
-    return DumpErRunResult(er.Run(w.data.dataset), w.data.truth);
-  }
   if (name == "stats") {
     const StatsJobOutput out =
         RunStatisticsJob(w.data.dataset, w.blocking, cluster, 4, 3);
     return DumpForests(out.forests);
   }
-  return "unknown driver: " + name + "\n";
+  return DumpErRunResult(RunGoldenEr(w, name, cluster), w.data.truth);
 }
 
 // The frozen trace fixture: Chrome trace_event JSON of the traced

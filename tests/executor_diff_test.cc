@@ -344,7 +344,7 @@ DiffJob::Result RunRawJob(const ClusterConfig& cluster, int records,
   DiffJob job(kMapTasks, kReduceTasks);
   job.set_map_cost_per_record(0.5);
   job.set_partitioner([](const int& key, int r) { return key % r; });
-  if (store != nullptr) job.set_checkpointing(alpha, store, nullptr, nullptr);
+  if (store != nullptr) job.set_checkpointing(alpha, store);
   return job.Run(
       input,
       [](const int& record, DiffJob::MapContext* ctx) {
@@ -464,6 +464,16 @@ TEST(ThreadedTraceTest, SpansReconcileWithMrCounters) {
         break;
       case SpanKind::kSpillMerge:
         ++spill_merges;
+        break;
+      case SpanKind::kSpillRetry:
+      case SpanKind::kRunCorrupt:
+      case SpanKind::kRestartRestore:
+      case SpanKind::kDeadlineCancel:
+      case SpanKind::kTaskQuarantine:
+      case SpanKind::kBreakerTrip:
+        // The job neither spills nor persists checkpoints nor runs under
+        // supervision, so none of these may appear.
+        ADD_FAILURE() << "unexpected span kind " << static_cast<int>(span.kind);
         break;
     }
   }

@@ -3,7 +3,7 @@
 // per-task stats and non-"mr." counters byte-identical to a fault-free run,
 // exhausting max_attempts must fail the job cleanly, and the fault plan must
 // compose with the end-to-end ER jobs (which reset their external per-task
-// sinks through the task-abort hook).
+// sinks through the task-state hook).
 
 #include <cstdint>
 #include <string>
@@ -39,8 +39,9 @@ ClusterConfig TestCluster(FaultConfig fault = FaultConfig()) {
 }
 
 // A job exercising every hook the ER drivers rely on: custom partitioner,
-// per-record + manual cost, counters, combiner, and a reduce cleanup that
-// emits. Deterministic for a fixed input.
+// per-record + manual cost, counters, a reduce cleanup that emits, and
+// (with `sinks`) the task-state hook over external per-task sinks.
+// Deterministic for a fixed input.
 using Job = MapReduceJob<int, int, int>;
 
 Job::Result RunHookedJob(const ClusterConfig& cluster,
@@ -51,22 +52,17 @@ Job::Result RunHookedJob(const ClusterConfig& cluster,
   Job job(kMapTasks, kReduceTasks);
   job.set_map_cost_per_record(0.5);
   job.set_partitioner([](const int& key, int r) { return key % r; });
-  job.set_combiner([](const int& key, std::vector<int>* values,
-                      std::vector<std::pair<int, int>>* out) {
-    int sum = 0;
-    for (int v : *values) sum += v;
-    out->emplace_back(key, sum);
-  });
   job.set_reduce_cleanup([](Job::ReduceContext* ctx) {
     ctx->clock().Charge(2.0);
     ctx->Emit(-1, ctx->task_id());
   });
   if (sinks != nullptr) {
     sinks->assign(kReduceTasks, {});
-    job.set_task_abort([sinks](TaskPhase phase, int task_id, int /*attempt*/) {
-      if (phase == TaskPhase::kReduce) {
-        (*sinks)[static_cast<size_t>(task_id)].clear();
-      }
+    // No checkpointing, so the save half never runs: every attempt starts
+    // from an empty sink.
+    job.set_task_state(nullptr, [sinks](int task_id, const void* snapshot) {
+      EXPECT_EQ(snapshot, nullptr);
+      (*sinks)[static_cast<size_t>(task_id)].clear();
     });
   }
   return job.Run(
@@ -229,7 +225,7 @@ TEST(FaultInjectionTest, ExceedingMaxAttemptsFailsReduceJobCleanly) {
   EXPECT_TRUE(run.outputs.empty());
 }
 
-TEST(FaultInjectionTest, AbortHookResetsExternalSinks) {
+TEST(FaultInjectionTest, TaskStateHookResetsExternalSinks) {
   std::vector<std::vector<int>> clean_sinks;
   const Job::Result baseline = RunHookedJob(TestCluster(), &clean_sinks);
   ASSERT_FALSE(baseline.failed);
@@ -245,8 +241,8 @@ TEST(FaultInjectionTest, AbortHookResetsExternalSinks) {
   std::vector<std::vector<int>> faulty_sinks;
   const Job::Result run = RunHookedJob(TestCluster(fault), &faulty_sinks);
   ExpectSameModuloFaults(baseline, run);
-  // Without the abort hook the failed attempts would have left partial
-  // sums behind; with it the external sinks match exactly.
+  // Without the task-state hook the failed attempts would have left
+  // partial sums behind; with it the external sinks match exactly.
   EXPECT_EQ(faulty_sinks, clean_sinks);
 }
 

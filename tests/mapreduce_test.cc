@@ -189,23 +189,6 @@ TEST(MapReduceJobTest, GroupsAllValuesOfAKey) {
   for (int k = 0; k < 5; ++k) EXPECT_EQ(group_sizes[k], 12u);
 }
 
-TEST(MapReduceJobTest, MapSetupRunsPerTask) {
-  using Job = MapReduceJob<int, int, int>;
-  Job job(3, 1);
-  std::mutex mu;
-  std::vector<int> setup_tasks;
-  job.set_map_setup([&](int task_id) {
-    std::lock_guard<std::mutex> lock(mu);
-    setup_tasks.push_back(task_id);
-  });
-  job.Run(
-      std::vector<int>{1, 2, 3},
-      [](const int& record, Job::MapContext* ctx) { ctx->Emit(record, 1); },
-      [](const int&, std::vector<int>*, Job::ReduceContext*) {},
-      TestCluster());
-  EXPECT_EQ(setup_tasks.size(), 3u);
-}
-
 TEST(MapReduceJobTest, CostChargedPerRecordAndManually) {
   using Job = MapReduceJob<int, int, int>;
   Job job(1, 1);

@@ -1,10 +1,10 @@
 // Differential property test: a trivial single-threaded map/sort/reduce
 // reference implementation is run against MapReduceJob on randomized,
-// seeded inputs covering the combiner, custom partitioners, reduce cleanup
-// and fault injection — outputs must match exactly. The reference mirrors
-// the Hadoop contract the runtime promises (contiguous input splits, keyed
-// shuffle, stable merge in map-task order, key-sorted grouping), nothing
-// about the runtime's internals.
+// seeded inputs covering custom partitioners, reduce cleanup and fault
+// injection — outputs must match exactly. The reference mirrors the Hadoop
+// contract the runtime promises (contiguous input splits, keyed shuffle,
+// stable merge in map-task order, key-sorted grouping), nothing about the
+// runtime's internals.
 
 #include <cstdint>
 #include <functional>
@@ -31,7 +31,6 @@ struct CaseSpec {
   int key_space = 10;
   int emissions_mod = 3;  // record emits 1 + (record % emissions_mod) pairs
   bool custom_partitioner = false;
-  bool use_combiner = false;
   bool use_cleanup = false;
   FaultConfig fault;
 };
@@ -48,7 +47,6 @@ CaseSpec DrawCase(Rng* rng) {
   spec.key_space = static_cast<int>(rng->UniformInt(1, 40));
   spec.emissions_mod = static_cast<int>(rng->UniformInt(1, 4));
   spec.custom_partitioner = rng->Bernoulli(0.5);
-  spec.use_combiner = rng->Bernoulli(0.5);
   spec.use_cleanup = rng->Bernoulli(0.5);
   if (rng->Bernoulli(0.4)) {
     spec.fault.enabled = true;
@@ -73,15 +71,6 @@ void MapLogic(const CaseSpec& spec, int record, const EmitFn& emit) {
 int PartitionLogic(const CaseSpec& spec, int key, int r) {
   if (spec.custom_partitioner) return ((key % r) + r) % r;
   return static_cast<int>(std::hash<int>{}(key) % static_cast<size_t>(r));
-}
-
-void CombineLogic(int key, std::vector<int>* values, std::vector<KV>* out) {
-  // Keep a sum and the count — deliberately not a plain sum so combiner
-  // application is observable in the output.
-  int sum = 0;
-  for (int v : *values) sum += v;
-  out->emplace_back(key, sum);
-  out->emplace_back(key, static_cast<int>(values->size()));
 }
 
 void ReduceLogic(int key, std::vector<int>* values, const EmitFn& emit) {
@@ -121,25 +110,6 @@ std::vector<KV> ReferenceRun(const CaseSpec& spec) {
         const int p = PartitionLogic(spec, key, r);
         task_buckets[static_cast<size_t>(p)].emplace_back(key, value);
       });
-    }
-    if (spec.use_combiner) {
-      for (auto& bucket : task_buckets) {
-        std::stable_sort(bucket.begin(), bucket.end(),
-                         [](const KV& a, const KV& b) {
-                           return a.first < b.first;
-                         });
-        std::vector<KV> combined;
-        size_t i = 0;
-        while (i < bucket.size()) {
-          size_t j = i;
-          while (j < bucket.size() && bucket[j].first == bucket[i].first) ++j;
-          std::vector<int> values;
-          for (size_t k = i; k < j; ++k) values.push_back(bucket[k].second);
-          CombineLogic(bucket[i].first, &values, &combined);
-          i = j;
-        }
-        bucket = std::move(combined);
-      }
     }
   }
 
@@ -181,12 +151,6 @@ std::vector<KV> RuntimeRun(const CaseSpec& spec) {
   job.set_partitioner([&spec](const int& key, int r) {
     return PartitionLogic(spec, key, r);
   });
-  if (spec.use_combiner) {
-    job.set_combiner([](const int& key, std::vector<int>* values,
-                        std::vector<KV>* out) {
-      CombineLogic(key, values, out);
-    });
-  }
   if (spec.use_cleanup) {
     job.set_reduce_cleanup([](Job::ReduceContext* ctx) {
       CleanupLogic(ctx->task_id(), [ctx](int key, int value) {
@@ -225,7 +189,6 @@ TEST(MrReferenceTest, RandomizedDifferential) {
         << "case " << c << ": n=" << spec.input.size()
         << " m=" << spec.num_map_tasks << " r=" << spec.num_reduce_tasks
         << " keys=" << spec.key_space
-        << " combiner=" << spec.use_combiner
         << " cleanup=" << spec.use_cleanup
         << " custom_part=" << spec.custom_partitioner
         << " fault=" << spec.fault.enabled;
@@ -249,7 +212,6 @@ TEST(MrReferenceTest, SingleRecordAllHooks) {
   spec.num_map_tasks = 4;  // three empty splits
   spec.num_reduce_tasks = 3;
   spec.key_space = 5;
-  spec.use_combiner = true;
   spec.use_cleanup = true;
   spec.custom_partitioner = true;
   EXPECT_EQ(RuntimeRun(spec), ReferenceRun(spec));

@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -74,18 +73,8 @@ void WordReduce(const std::string& key, std::vector<int64_t>* values,
   ctx->Emit(key, sum);
 }
 
-WordJob::Result RunWordCount(const ClusterConfig& cluster,
-                             bool with_combiner = false, int lines = 400) {
+WordJob::Result RunWordCount(const ClusterConfig& cluster, int lines = 400) {
   WordJob job(4, 3);
-  if (with_combiner) {
-    job.set_combiner(
-        [](const std::string& key, std::vector<int64_t>* values,
-           std::vector<std::pair<std::string, int64_t>>* out) {
-          int64_t sum = 0;
-          for (int64_t v : *values) sum += v;
-          out->emplace_back(key, sum);
-        });
-  }
   return job.Run(WordLines(lines), WordMap, WordReduce, cluster);
 }
 
@@ -136,34 +125,6 @@ TEST(SpillTest, ForcedSpillOutputsByteIdenticalThreaded) {
   EXPECT_GT(spilled.counters.Get("mr.spill.runs"), 0);
 
   EXPECT_EQ(DumpRun(in_memory), DumpRun(spilled));
-}
-
-TEST(SpillTest, CombinerAppliesToSpillRunsAndMemoryTail) {
-  // The combiner collapses duplicate keys inside each spill run, so the
-  // combined spilled run must move strictly fewer records than the
-  // combiner-free one — while producing identical reduce outputs.
-  ClusterConfig cluster = TestCluster(ExecutionBackend::kSimulated);
-  cluster.shuffle_budget = TinySpillBudget();
-  const WordJob::Result plain = RunWordCount(cluster, /*with_combiner=*/false);
-  const WordJob::Result combined =
-      RunWordCount(cluster, /*with_combiner=*/true);
-  ASSERT_FALSE(plain.failed) << plain.error;
-  ASSERT_FALSE(combined.failed) << combined.error;
-  EXPECT_GT(combined.counters.Get("mr.spill.runs"), 0);
-  EXPECT_LT(combined.counters.Get("mr.spill.records"),
-            plain.counters.Get("mr.spill.records"));
-
-  std::map<std::string, int64_t> plain_counts(plain.outputs.begin(),
-                                              plain.outputs.end());
-  std::map<std::string, int64_t> combined_counts(combined.outputs.begin(),
-                                                 combined.outputs.end());
-  EXPECT_EQ(plain_counts, combined_counts);
-
-  // An in-memory combined run is the reference the spilled one must match.
-  const WordJob::Result reference = RunWordCount(
-      TestCluster(ExecutionBackend::kSimulated), /*with_combiner=*/true);
-  ASSERT_FALSE(reference.failed) << reference.error;
-  EXPECT_EQ(DumpRun(reference), DumpRun(combined));
 }
 
 // ------------------------------------------------- counter/span ledger

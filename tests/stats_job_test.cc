@@ -1,7 +1,12 @@
+#include <cstdint>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "core/stats_job.h"
 #include "datagen/generators.h"
+#include "mapreduce/serde.h"
+#include "test_overlays.h"
 
 namespace progres {
 namespace {
@@ -53,6 +58,58 @@ TEST(StatsJobTest, MatchesInMemoryReference) {
         EXPECT_LT(got.parent, 0);
       }
     }
+  }
+}
+
+// Bytes the statistics job's shuffle carries, written out from its wire
+// format: one pair per (entity, family) whose key is the family digit, the
+// path separator and the level-1 key, and whose value is the count-prefixed
+// level-key chain followed by the dominating families' root keys joined by
+// the tuple separator. Every string is length-prefixed.
+int64_t StatsShuffleBytes(const Dataset& dataset,
+                          const BlockingConfig& config) {
+  const auto string_bytes = [](size_t size) {
+    return static_cast<int64_t>(VarintSize(size) + size);
+  };
+  int64_t bytes = 0;
+  for (const Entity& e : dataset.entities()) {
+    for (int f = 0; f < config.num_families(); ++f) {
+      const int levels = config.family(f).levels();
+      bytes += string_bytes(2 + config.Key(f, 1, e).size());
+      bytes += VarintSize(static_cast<uint64_t>(levels));
+      for (int level = 1; level <= levels; ++level) {
+        bytes += string_bytes(config.Key(f, level, e).size());
+      }
+      size_t tuple = f > 1 ? static_cast<size_t>(f - 1) : 0;  // separators
+      for (int d = 0; d < f; ++d) tuple += config.Key(d, 1, e).size();
+      bytes += string_bytes(tuple);
+    }
+  }
+  return bytes;
+}
+
+TEST(StatsJobTest, ShuffleBytesMatchTheWireFormat) {
+  PublicationConfig gen;
+  gen.num_entities = 1500;
+  gen.seed = 412;
+  const LabeledDataset data = GeneratePublications(gen);
+  const BlockingConfig config({{"X", kPubTitle, {2, 4, 8}, -1},
+                               {"Y", kPubAbstract, {3, 5}, -1},
+                               {"Z", kPubVenue, {3, 5}, -1}});
+  const int64_t expected = StatsShuffleBytes(data.dataset, config);
+  for (const bool spill : {false, true}) {
+    SCOPED_TRACE(spill ? "spilled" : "in memory");
+    ClusterConfig cluster = TestCluster();
+    if (spill) cluster.shuffle_budget = testing_util::TinySpillBudget();
+    const StatsJobOutput out =
+        RunStatisticsJob(data.dataset, config, cluster, 4, 3);
+    ASSERT_FALSE(out.failed) << out.error;
+    if (spill) {
+      EXPECT_GT(out.counters.Get("mr.spill.runs"), 0);
+    }
+    EXPECT_EQ(out.counters.Get("mr.shuffle.records"),
+              data.dataset.size() * config.num_families());
+    EXPECT_EQ(out.counters.Get("mr.shuffle.bytes"), expected);
   }
 }
 

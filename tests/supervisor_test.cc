@@ -1,16 +1,19 @@
 // Job-supervision tests (mapreduce/supervisor.h): the simulated deadline is
 // enforced deterministically on both backends — hard failure without
 // allow_degraded, checkpoint-or-cancel cuts with it; permanently failing
-// tasks are quarantined into best-effort finalization; the retry-budget
-// ledger caps attempts deterministically and a sufficient budget changes
-// nothing; the disk breaker collapses per-task ENOSPC discovery into one
-// failover; every "mr.supervisor.*" counter reconciles 1:1 against the
-// kDeadlineCancel / kTaskQuarantine / kBreakerTrip trace spans; and with
-// degradation disabled every hard-failure path keeps its labelled error.
+// tasks are quarantined into best-effort finalization; both rewinds leave
+// external per-task state (set_task_state) holding exactly the delivered
+// prefix; the retry-budget ledger caps attempts deterministically and a
+// sufficient budget changes nothing; the disk breaker collapses per-task
+// ENOSPC discovery into one failover; every "mr.supervisor.*" counter
+// reconciles 1:1 against the kDeadlineCancel / kTaskQuarantine /
+// kBreakerTrip trace spans; and with degradation disabled every
+// hard-failure path keeps its labelled error.
 
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -19,6 +22,7 @@
 
 #include "core/progressive_er.h"
 #include "datagen/generators.h"
+#include "mapreduce/checkpoint.h"
 #include "mapreduce/fault.h"
 #include "mapreduce/job.h"
 #include "mapreduce/supervisor.h"
@@ -301,6 +305,150 @@ TEST(SupervisorTest, DoomedMapQuarantineSpanAnchors) {
       EXPECT_GE(quarantine.start, last_map_end);
       EXPECT_LE(quarantine.start, first_reduce_start);
     }
+  }
+}
+
+// ---- External task state after degradation ----
+
+// The hooked job plus an external per-task sink of every group's sum,
+// rewound through set_task_state like the ER drivers' state. With `store`
+// the reduce tasks also checkpoint every 30 cost units; a group costs
+// about 20, so a task's last groups can fall past its last checkpoint.
+Job::Result RunSinkJob(const ClusterConfig& cluster, CheckpointStore* store,
+                       std::vector<std::vector<int>>* sinks) {
+  std::vector<int> input;
+  for (int i = 0; i < 229; ++i) input.push_back(i * 37 % 101);
+  sinks->assign(kReduceTasks, {});
+
+  Job job(kMapTasks, kReduceTasks);
+  job.set_map_cost_per_record(0.5);
+  job.set_partitioner([](const int& key, int r) { return key % r; });
+  job.set_task_state(
+      [sinks](int task_id) -> std::shared_ptr<const void> {
+        return std::make_shared<const std::vector<int>>(
+            (*sinks)[static_cast<size_t>(task_id)]);
+      },
+      [sinks](int task_id, const void* snapshot) {
+        (*sinks)[static_cast<size_t>(task_id)] =
+            snapshot == nullptr
+                ? std::vector<int>()
+                : *static_cast<const std::vector<int>*>(snapshot);
+      });
+  if (store != nullptr) job.set_checkpointing(30.0, store);
+  return job.Run(
+      input,
+      [](const int& record, Job::MapContext* ctx) {
+        ctx->clock().Charge(0.25);
+        ctx->Emit(record % 11, record);
+      },
+      [sinks](const int& key, std::vector<int>* values,
+              Job::ReduceContext* ctx) {
+        int sum = 0;
+        for (int v : *values) sum += v;
+        ctx->clock().Charge(static_cast<double>(values->size()));
+        ctx->Emit(key, sum);
+        (*sinks)[static_cast<size_t>(ctx->task_id())].push_back(sum);
+      },
+      cluster);
+}
+
+// Every task's sink must hold exactly the sums the task delivered: the
+// whole task for a complete one, the restored prefix of the clean run for a
+// degraded one (nothing without a checkpoint).
+void ExpectSinksMatchDelivery(const Job::Result& run,
+                              const std::vector<std::vector<int>>& sinks,
+                              const std::vector<std::vector<int>>& clean) {
+  for (int t = 0; t < kReduceTasks; ++t) {
+    SCOPED_TRACE("task " + std::to_string(t));
+    std::vector<int> delivered;
+    for (const auto& [key, sum] : run.outputs) {
+      if (key % kReduceTasks == t) delivered.push_back(sum);
+    }
+    const std::vector<int>& sink = sinks[static_cast<size_t>(t)];
+    const std::vector<int>& full = clean[static_cast<size_t>(t)];
+    EXPECT_EQ(sink, delivered);
+    ASSERT_LE(sink.size(), full.size());
+    EXPECT_TRUE(std::equal(sink.begin(), sink.end(), full.begin()));
+  }
+}
+
+TEST(SupervisorTest, QuarantineRewindsExternalTaskState) {
+  std::vector<std::vector<int>> clean;
+  ASSERT_FALSE(RunSinkJob(TestCluster(), nullptr, &clean).failed);
+
+  // Reduce task 1 is doomed; its last failed attempt leaves partial sums in
+  // the sink until the quarantine rewinds it.
+  FaultConfig fault;
+  fault.enabled = true;
+  fault.max_attempts = 2;
+  fault.injected.push_back({TaskPhase::kReduce, 1, 0});
+  fault.injected.push_back({TaskPhase::kReduce, 1, 1});
+  for (const ExecutionBackend backend :
+       {ExecutionBackend::kSimulated, ExecutionBackend::kThreaded}) {
+    SCOPED_TRACE(ToString(backend));
+    ClusterConfig cluster = TestCluster(fault);
+    cluster.backend = backend;
+    cluster.control.allow_degraded = true;
+
+    std::vector<std::vector<int>> sinks;
+    const Job::Result scratch = RunSinkJob(cluster, nullptr, &sinks);
+    ASSERT_FALSE(scratch.failed) << scratch.error;
+    ASSERT_EQ(scratch.completeness.quarantined_tasks, 1);
+    EXPECT_TRUE(sinks[1].empty());
+    ExpectSinksMatchDelivery(scratch, sinks, clean);
+
+    CheckpointStore store;
+    const Job::Result resumed = RunSinkJob(cluster, &store, &sinks);
+    ASSERT_FALSE(resumed.failed) << resumed.error;
+    ASSERT_EQ(resumed.completeness.tasks.size(), 1u);
+    const TaskReport& report = resumed.completeness.tasks[0];
+    EXPECT_EQ(report.kind, TaskOutcomeKind::kQuarantined);
+    EXPECT_GT(report.records_covered, 0);
+    EXPECT_LT(report.records_covered, report.records_total);
+    EXPECT_FALSE(sinks[1].empty());
+    EXPECT_LT(sinks[1].size(), clean[1].size());
+    ExpectSinksMatchDelivery(resumed, sinks, clean);
+  }
+}
+
+TEST(SupervisorTest, DeadlineCutRewindsExternalTaskState) {
+  std::vector<std::vector<int>> clean;
+  const Job::Result baseline = RunSinkJob(TestCluster(), nullptr, &clean);
+  ASSERT_FALSE(baseline.failed) << baseline.error;
+  for (const ExecutionBackend backend :
+       {ExecutionBackend::kSimulated, ExecutionBackend::kThreaded}) {
+    SCOPED_TRACE(ToString(backend));
+    ClusterConfig cluster = TestCluster();
+    cluster.backend = backend;
+    cluster.control.deadline_seconds = MidReduceDeadline(baseline);
+    cluster.control.allow_degraded = true;
+
+    // Without checkpoints every late task is cancelled outright: its sink,
+    // which held the task's whole run, must end empty.
+    std::vector<std::vector<int>> sinks;
+    const Job::Result scratch = RunSinkJob(cluster, nullptr, &sinks);
+    ASSERT_FALSE(scratch.failed) << scratch.error;
+    ASSERT_FALSE(scratch.completeness.tasks.empty());
+    for (const TaskReport& report : scratch.completeness.tasks) {
+      EXPECT_EQ(report.kind, TaskOutcomeKind::kCancelled);
+      EXPECT_TRUE(sinks[static_cast<size_t>(report.task)].empty());
+    }
+    ExpectSinksMatchDelivery(scratch, sinks, clean);
+
+    // With them each late task is cut back to a checkpointed prefix.
+    CheckpointStore store;
+    const Job::Result cut = RunSinkJob(cluster, &store, &sinks);
+    ASSERT_FALSE(cut.failed) << cut.error;
+    int64_t cut_tasks = 0;
+    for (const TaskReport& report : cut.completeness.tasks) {
+      if (report.kind != TaskOutcomeKind::kCut) continue;
+      ++cut_tasks;
+      const size_t t = static_cast<size_t>(report.task);
+      EXPECT_FALSE(sinks[t].empty());
+      EXPECT_LT(sinks[t].size(), clean[t].size());
+    }
+    EXPECT_GT(cut_tasks, 0);
+    ExpectSinksMatchDelivery(cut, sinks, clean);
   }
 }
 

@@ -134,6 +134,12 @@ SpanTally TallySpans(const std::vector<TraceSpan>& spans) {
       case SpanKind::kShuffle:
       case SpanKind::kSpillWrite:
       case SpanKind::kSpillMerge:
+      case SpanKind::kSpillRetry:
+      case SpanKind::kRunCorrupt:
+      case SpanKind::kRestartRestore:
+      case SpanKind::kDeadlineCancel:
+      case SpanKind::kTaskQuarantine:
+      case SpanKind::kBreakerTrip:
         break;
     }
   }
@@ -200,7 +206,7 @@ Job::Result RunToyJob(const ClusterConfig& cluster, CheckpointStore* store,
     ctx->clock().Charge(2.0);
     ctx->Emit(-1, ctx->task_id());
   });
-  if (store != nullptr) job.set_checkpointing(alpha, store, nullptr, nullptr);
+  if (store != nullptr) job.set_checkpointing(alpha, store);
   return job.Run(
       input,
       [](const int& record, Job::MapContext* ctx) {
