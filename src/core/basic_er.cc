@@ -35,6 +35,7 @@ ErRunResult BasicEr::Run(const Dataset& dataset) const {
   const double spc = options_.cluster.seconds_per_cost_unit;
 
   ErRunResult result;
+  if (RejectInvalidAlpha(options_.alpha, &result)) return result;
 
   Pipeline pipe;
   pipe.set_trace(options_.cluster.trace);

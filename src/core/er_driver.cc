@@ -1,6 +1,18 @@
 #include "core/er_driver.h"
 
+#include <cstdio>
+
 namespace progres {
+
+bool RejectInvalidAlpha(double alpha, ErRunResult* result) {
+  if (alpha > 0.0) return false;
+  char error[64];
+  std::snprintf(error, sizeof(error),
+                "invalid options: alpha must be > 0 (got %g)", alpha);
+  result->failed = true;
+  result->error = error;
+  return true;
+}
 
 void RecordResolveOutcome(const ResolveOutcome& outcome, ErTaskState* state,
                           Counters* counters) {

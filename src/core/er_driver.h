@@ -122,6 +122,11 @@ inline std::function<void(EntityId, EntityId)> EventSink(ErTaskState* state,
   };
 }
 
+// Fails `result` with a labelled error unless alpha > 0, and returns
+// whether it did. Result chunks close every alpha cost units, so a
+// non-positive (or NaN) alpha would never close one.
+bool RejectInvalidAlpha(double alpha, ErRunResult* result);
+
 // Tallies one resolved block's outcome into the task state and the standard
 // "reduce.*" counters (shared by the basic and progressive drivers).
 void RecordResolveOutcome(const ResolveOutcome& outcome, ErTaskState* state,

@@ -72,6 +72,7 @@ ErRunResult MrsnEr::Run(const Dataset& dataset) const {
   const double spc = options_.cluster.seconds_per_cost_unit;
 
   ErRunResult result;
+  if (RejectInvalidAlpha(options_.alpha, &result)) return result;
 
   // Written by each pass's boundary pre-pass, read by the pass's job.
   std::vector<int64_t> rank_of(static_cast<size_t>(n));

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -53,9 +54,9 @@ struct ResolveTaskState : ErTaskState {
   // the incremental bottom-up resolution must not repeat child work.
   std::unordered_map<int32_t, std::unordered_set<PairKey>> resolved;
   // Per-tree emission: buffered tree members keyed by tree dominance value,
-  // and the index of the next unresolved block in the task's schedule.
+  // and the position of the next unresolved unit in the task's schedule.
   std::unordered_map<int32_t, std::vector<ResolveValue>> tree_values;
-  size_t next_block = 0;
+  size_t next_unit = 0;
 };
 
 }  // namespace
@@ -140,7 +141,7 @@ std::string EncodeResolveTaskState(const ResolveTaskState& state) {
       KvCodec<ResolveValue>::Encode(value, &out);
     }
   }
-  PutVarint64(state.next_block, &out);
+  PutVarint64(state.next_unit, &out);
   return out;
 }
 
@@ -211,9 +212,9 @@ bool DecodeResolveTaskState(std::string_view in, ResolveTaskState* state) {
       group.push_back(std::move(value));
     }
   }
-  uint64_t next_block = 0;
-  if (!GetVarint64(in, &offset, &next_block)) return false;
-  state->next_block = static_cast<size_t>(next_block);
+  uint64_t next_unit = 0;
+  if (!GetVarint64(in, &offset, &next_unit)) return false;
+  state->next_unit = static_cast<size_t>(next_unit);
   return offset == in.size();
 }
 
@@ -305,6 +306,7 @@ ProgressiveEr::Preprocessed ProgressiveEr::Preprocess(
 ErRunResult ProgressiveEr::Run(const Dataset& dataset) const {
   Preprocessed pre;
   ErRunResult result;
+  if (RejectInvalidAlpha(options_.alpha, &result)) return result;
 
   Pipeline pipe;
   pipe.set_trace(options_.cluster.trace);
@@ -327,36 +329,32 @@ ErRunResult ProgressiveEr::Run(const Dataset& dataset) const {
     const int reduce_tasks = schedule.num_reduce_tasks;
     const int num_families = blocking_.num_families();
     const bool redundancy = options_.redundancy_elimination;
-    // The pair-level schedulers ship a block to every one of its match
-    // units, which per-tree regrouping cannot express — they force
+    // Under the pair-level schedulers a tree's units may sit on different
+    // reduce tasks, which per-tree regrouping cannot express — they force
     // per-block emission (documented fallback).
-    const bool pair_level = schedule.pair_level;
-    const bool per_tree =
-        options_.map_emission == MapEmission::kPerTree && !pair_level;
+    const bool per_tree = options_.map_emission == MapEmission::kPerTree &&
+                          !schedule.pair_level;
 
-    // Sequence value -> block lookup for the reduce side.
-    std::unordered_map<int64_t, BlockRef> block_of_sequence;
-    for (const auto& [key, sq] : schedule.sequence) {
-      block_of_sequence[sq] = {static_cast<int>(key >> 32),
-                               static_cast<int>(key & 0xffffffffULL)};
-    }
+    // The tree holding `ref`, as its root's BlockRefKey, and that tree's
+    // dominance value.
+    const auto tree_of = [&](const BlockRef& ref) {
+      return BlockRefKey(
+          ref.family,
+          forests[static_cast<size_t>(ref.family)].FindTreeRoot(ref.node));
+    };
+    const auto tree_dom_of = [&](const BlockRef& ref) {
+      return schedule.dominance.at(tree_of(ref));
+    };
 
-    // Per-tree emission: the shuffle key of a tree is the sequence value of
-    // its first scheduled block. Trees whose blocks were all truncated by
-    // the budget have no key and are never shipped.
+    // Per-tree emission: the shuffle key of a tree is the SQ of its first
+    // unit. Trees whose units were all cut by the budget have no key and
+    // are never shipped.
     std::unordered_map<uint64_t, int64_t> tree_first_sq;
     if (per_tree) {
-      for (const AnnotatedForest& forest : forests) {
-        for (int root : forest.tree_roots()) {
-          int64_t first = -1;
-          for (int n : forest.TreeBlocks(root)) {
-            const int64_t sq = schedule.SequenceOf(forest.family(), n);
-            if (sq >= 0 && (first < 0 || sq < first)) first = sq;
-          }
-          if (first >= 0) {
-            tree_first_sq[BlockRefKey(forest.family(), root)] = first;
-          }
-        }
+      for (const auto& [key, sqs] : schedule.unit_sequences) {
+        const auto [it, inserted] = tree_first_sq.emplace(
+            tree_of(schedule.UnitOf(sqs.front()).ref), sqs.front());
+        if (!inserted) it->second = std::min(it->second, sqs.front());
       }
     }
 
@@ -383,59 +381,43 @@ ErRunResult ProgressiveEr::Run(const Dataset& dataset) const {
           if (node < 0) break;  // chain eliminated from here down
           if (node == previous_node) continue;  // equal-size collapse redirect
           previous_node = node;
+          // The SQs this block ships e to. Per-tree: one emission per
+          // (entity, tree), when the chain enters a new tree; the dominance
+          // list is identical for every block of the tree along e's chain.
+          // Per-block: every match unit of the block receives the full
+          // membership, since sub-block restrictions are over positions in
+          // the full block's sorted order (the extra shuffle volume is the
+          // price of pair-level balancing).
+          std::span<const int64_t> sqs;
           if (per_tree) {
-            // One emission per (entity, tree): emit when the chain enters a
-            // new tree. The dominance list is identical for every block of
-            // the tree along e's chain.
             const int tree = forest.FindTreeRoot(node);
             if (tree == previous_tree) continue;
             previous_tree = tree;
             const auto it = tree_first_sq.find(BlockRefKey(f, tree));
-            if (it == tree_first_sq.end()) continue;  // budget-truncated tree
-            ResolveValue value;
-            value.id = e.id;
-            if (redundancy) {
-              value.list =
-                  BuildDominanceList(e, f, node, blocking_, forests, schedule);
-            }
-            ctx->clock().Charge(kMapEmitCost);
-            ctx->counters().Increment("map.emitted_pairs");
-            ctx->counters().Increment("shuffle.bytes",
-                                      WireSize(it->second, value));
-            ctx->Emit(it->second, std::move(value));
-          } else if (pair_level) {
-            // Every match unit of the block receives the full membership:
-            // sub-block restrictions are over positions in the full block's
-            // sorted order, so each unit must see every member (the extra
-            // shuffle volume is the price of pair-level balancing).
+            if (it == tree_first_sq.end()) continue;  // budget-cut tree
+            sqs = {&it->second, 1};
+          } else {
             const auto it =
                 schedule.unit_sequences.find(BlockRefKey(f, node));
-            if (it == schedule.unit_sequences.end()) continue;
-            ResolveValue value;
-            value.id = e.id;
-            if (redundancy) {
-              value.list =
-                  BuildDominanceList(e, f, node, blocking_, forests, schedule);
-            }
-            for (const int64_t sq : it->second) {
-              ctx->clock().Charge(kMapEmitCost);
-              ctx->counters().Increment("map.emitted_pairs");
-              ctx->counters().Increment("shuffle.bytes", WireSize(sq, value));
-              ctx->Emit(sq, value);
-            }
-          } else {
-            const int64_t sq = schedule.SequenceOf(f, node);
-            if (sq < 0) continue;  // budget-truncated block
-            ResolveValue value;
-            value.id = e.id;
-            if (redundancy) {
-              value.list =
-                  BuildDominanceList(e, f, node, blocking_, forests, schedule);
-            }
+            if (it == schedule.unit_sequences.end()) continue;  // budget cut
+            sqs = it->second;
+          }
+          ResolveValue value;
+          value.id = e.id;
+          if (redundancy) {
+            value.list =
+                BuildDominanceList(e, f, node, blocking_, forests, schedule);
+          }
+          for (size_t k = 0; k < sqs.size(); ++k) {
             ctx->clock().Charge(kMapEmitCost);
             ctx->counters().Increment("map.emitted_pairs");
-            ctx->counters().Increment("shuffle.bytes", WireSize(sq, value));
-            ctx->Emit(sq, std::move(value));
+            ctx->counters().Increment("shuffle.bytes", WireSize(sqs[k], value));
+            // Extra units get a copy; the last emission takes the value.
+            if (k + 1 < sqs.size()) {
+              ctx->Emit(sqs[k], value);
+            } else {
+              ctx->Emit(sqs[k], std::move(value));
+            }
           }
         }
       }
@@ -466,11 +448,10 @@ ErRunResult ProgressiveEr::Run(const Dataset& dataset) const {
       states.Install(&job);
     }
 
-    // Resolves one scheduled block given its members (and their dominance
-    // lists); shared by both emission modes. `unit` carries a pair-level
-    // match task's sub-block or slice restriction (null: whole block).
-    const auto resolve_block =
-        [&, this](const BlockRef& ref, const MatchTask* unit,
+    // Resolves one scheduled unit given its block's members (and their
+    // dominance lists); shared by both emission modes.
+    const auto resolve_unit =
+        [&, this](const MatchTask& unit,
                   const std::vector<const Entity*>& members,
                   const std::unordered_map<EntityId, const DominanceList*>&
                       lists,
@@ -480,9 +461,9 @@ ErRunResult ProgressiveEr::Run(const Dataset& dataset) const {
             ctx->counters().Increment("reduce.blocks_skipped_budget");
             return;
           }
-          const AnnotatedForest& forest =
-              forests[static_cast<size_t>(ref.family)];
-          const AnnotatedBlock& block = forest.block(ref.node);
+          const BlockRef& ref = unit.ref;
+          const AnnotatedBlock& block =
+              forests[static_cast<size_t>(ref.family)].block(ref.node);
           ResolveTaskState& state = states.at(ctx->task_id());
 
           ResolveRequest request;
@@ -492,16 +473,14 @@ ErRunResult ProgressiveEr::Run(const Dataset& dataset) const {
           request.options.window = block.window;
           request.options.termination_distinct =
               block.tree_root ? -1 : block.th;
-          if (unit != nullptr) {
-            if (unit->kind == MatchTask::Kind::kSub) {
-              request.options.sub_a_lo = unit->a_lo;
-              request.options.sub_a_hi = unit->a_hi;
-              request.options.sub_b_lo = unit->b_lo;
-              request.options.sub_b_hi = unit->b_hi;
-            } else if (unit->kind == MatchTask::Kind::kSlice) {
-              request.options.slice_begin = unit->begin;
-              request.options.slice_end = unit->end;
-            }
+          if (unit.kind == MatchTask::Kind::kSub) {
+            request.options.sub_a_lo = unit.a_lo;
+            request.options.sub_a_hi = unit.a_hi;
+            request.options.sub_b_lo = unit.b_lo;
+            request.options.sub_b_hi = unit.b_hi;
+          } else if (unit.kind == MatchTask::Kind::kSlice) {
+            request.options.slice_begin = unit.begin;
+            request.options.slice_end = unit.end;
           }
           request.clock = &ctx->clock();
 
@@ -514,9 +493,7 @@ ErRunResult ProgressiveEr::Run(const Dataset& dataset) const {
             request.should_resolve = &predicate;
           }
 
-          const int32_t tree_dom = schedule.dominance.at(
-              BlockRefKey(ref.family, forest.FindTreeRoot(ref.node)));
-          request.resolved = &state.resolved[tree_dom];
+          request.resolved = &state.resolved[tree_dom_of(ref)];
 
           request.on_duplicate = EventSink(&state, &ctx->clock());
 
@@ -524,24 +501,19 @@ ErRunResult ProgressiveEr::Run(const Dataset& dataset) const {
           RecordResolveOutcome(outcome, &state, &ctx->counters());
         };
 
-    // Per-tree mode: resolves every pending scheduled block whose sequence
-    // value is <= sq_limit (their trees are guaranteed buffered).
-    const auto drain_pending = [&, this](int64_t sq_limit,
+    // Per-tree mode: resolves every pending unit of the task up to position
+    // `last` (their trees are guaranteed buffered).
+    const auto drain_pending = [&, this](size_t last,
                                          Job::ReduceContext* ctx) {
       ResolveTaskState& state = states.at(ctx->task_id());
-      const auto& blocks =
-          schedule.task_blocks[static_cast<size_t>(ctx->task_id())];
-      while (state.next_block < blocks.size()) {
-        const BlockRef ref = blocks[state.next_block];
-        const int64_t sq = schedule.SequenceOf(ref.family, ref.node);
-        if (sq > sq_limit) break;
-        ++state.next_block;
-        const AnnotatedForest& forest =
-            forests[static_cast<size_t>(ref.family)];
-        const AnnotatedBlock& block = forest.block(ref.node);
-        const int32_t tree_dom = schedule.dominance.at(
-            BlockRefKey(ref.family, forest.FindTreeRoot(ref.node)));
-        const auto buffered = state.tree_values.find(tree_dom);
+      const auto& units =
+          schedule.task_units[static_cast<size_t>(ctx->task_id())];
+      while (state.next_unit < units.size() && state.next_unit <= last) {
+        const MatchTask& unit = units[state.next_unit++];
+        const AnnotatedBlock& block =
+            forests[static_cast<size_t>(unit.ref.family)].block(
+                unit.ref.node);
+        const auto buffered = state.tree_values.find(tree_dom_of(unit.ref));
         if (buffered == state.tree_values.end()) continue;  // empty tree group
 
         // Regroup: select the tree members belonging to this block.
@@ -550,41 +522,26 @@ ErRunResult ProgressiveEr::Run(const Dataset& dataset) const {
         for (const ResolveValue& value : buffered->second) {
           ctx->clock().Charge(kRegroupCostPerEntity);
           const Entity& e = dataset.entity(value.id);
-          if (blocking_.Path(ref.family, block.id.level, e) !=
+          if (blocking_.Path(unit.ref.family, block.id.level, e) !=
               block.id.path) {
             continue;
           }
           members.push_back(&e);
           lists.emplace(value.id, &value.list);
         }
-        resolve_block(ref, /*unit=*/nullptr, members, lists, ctx);
+        resolve_unit(unit, members, lists, ctx);
       }
     };
 
     const auto reduce_fn = [&](const int64_t& sq,
                                std::vector<ResolveValue>* values,
                                Job::ReduceContext* ctx) {
+      const MatchTask& unit = schedule.UnitOf(sq);
       if (per_tree) {
-        ResolveTaskState& state = states.at(ctx->task_id());
-        const BlockRef first = block_of_sequence.at(sq);
-        const AnnotatedForest& forest =
-            forests[static_cast<size_t>(first.family)];
-        const int32_t tree_dom = schedule.dominance.at(
-            BlockRefKey(first.family, forest.FindTreeRoot(first.node)));
-        state.tree_values[tree_dom] = std::move(*values);
-        drain_pending(sq, ctx);
+        states.at(ctx->task_id()).tree_values[tree_dom_of(unit.ref)] =
+            std::move(*values);
+        drain_pending(static_cast<size_t>(sq % schedule.range_per_task), ctx);
         return;
-      }
-      const MatchTask* unit = nullptr;
-      BlockRef ref;
-      if (pair_level) {
-        // Unit positions are the sequence layout: SQ = task * range + index.
-        unit = &schedule.task_units[static_cast<size_t>(
-            sq / schedule.range_per_task)][static_cast<size_t>(
-            sq % schedule.range_per_task)];
-        ref = unit->ref;
-      } else {
-        ref = block_of_sequence.at(sq);
       }
       std::vector<const Entity*> members;
       members.reserve(values->size());
@@ -594,13 +551,13 @@ ErRunResult ProgressiveEr::Run(const Dataset& dataset) const {
         members.push_back(&dataset.entity(value.id));
         lists.emplace(value.id, &value.list);
       }
-      resolve_block(ref, unit, members, lists, ctx);
+      resolve_unit(unit, members, lists, ctx);
     };
 
     if (per_tree) {
       job.set_reduce_cleanup([&](Job::ReduceContext* ctx) {
-        // Every tree group has arrived; flush the remaining blocks.
-        drain_pending(std::numeric_limits<int64_t>::max(), ctx);
+        // Every tree group has arrived; flush the remaining units.
+        drain_pending(std::numeric_limits<size_t>::max(), ctx);
       });
     }
 

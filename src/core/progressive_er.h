@@ -22,9 +22,10 @@ class Pipeline;
 enum class MapEmission {
   // Naive: one key-value pair per (entity, block).
   kPerBlock,
-  // Optimized: one key-value pair per (entity, tree), keyed by the tree's
-  // first scheduled block; the reduce task regroups entities into blocks
-  // locally. Cuts shuffle volume by roughly the average tree depth.
+  // Optimized: one key-value pair per (entity, tree), keyed by the sequence
+  // value of the tree's first scheduled unit; the reduce task regroups
+  // entities into blocks locally. Cuts shuffle volume by roughly the
+  // average tree depth. The pair-level schedulers fall back to kPerBlock.
   kPerTree,
 };
 
@@ -57,9 +58,9 @@ struct ProgressiveErOptions {
 
   // Resolution cost budget per reduce task, in cost units (> 0 enables the
   // budgeted variant the extended report describes: generate the highest
-  // quality result within a cost budget). The schedule is truncated to the
-  // highest-utility blocks fitting the budget and reduce tasks stop once
-  // their clock exceeds it.
+  // quality result within a cost budget). Each task's schedule is cut to
+  // the prefix of its units fitting the budget (ScheduleParams::
+  // per_task_budget) and reduce tasks stop once their clock exceeds it.
   double per_task_cost_budget = 0.0;
 
   // Cost units charged for generating the progressive schedule, per live

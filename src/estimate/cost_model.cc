@@ -1,22 +1,14 @@
 #include "estimate/cost_model.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace progres {
 
-int64_t WindowPairs(int64_t n, int w) {
-  const int64_t d_max = std::min<int64_t>(w - 1, n - 1);
+int64_t WindowPairCount(int64_t n, int window) {
+  const int64_t d_max = std::min<int64_t>(window - 1, n - 1);
   if (d_max <= 0) return 0;
   // sum_{d=1..d_max} (n - d) = n*d_max - d_max*(d_max+1)/2
   return n * d_max - d_max * (d_max + 1) / 2;
-}
-
-double CostA(int64_t n, const MechanismCosts& costs) {
-  if (n <= 0) return 0.0;
-  const double log_n = n > 1 ? std::log2(static_cast<double>(n)) : 1.0;
-  return costs.read_per_entity * static_cast<double>(n) +
-         costs.sort_per_entity_log2 * static_cast<double>(n) * log_n;
 }
 
 double CostP(double dup, double dis, const MechanismCosts& costs) {
@@ -24,7 +16,7 @@ double CostP(double dup, double dis, const MechanismCosts& costs) {
 }
 
 double CostF(int64_t n, int window, int64_t cov, const MechanismCosts& costs) {
-  const int64_t pairs = WindowPairs(n, window);
+  const int64_t pairs = WindowPairCount(n, window);
   const double compared = static_cast<double>(std::min(pairs, cov));
   const double skipped = static_cast<double>(std::max<int64_t>(0, pairs - cov));
   return costs.comparison * compared + costs.skip * skipped;

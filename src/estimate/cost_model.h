@@ -8,15 +8,13 @@
 namespace progres {
 
 // Closed-form cost predictions matching what the mechanisms in src/mechanism
-// actually charge (they share MechanismCosts), so the schedule generator's
-// Cost(.) values (Eqs. 3 and 5) line up with execution.
+// actually charge (they share MechanismCosts and CostA), so the schedule
+// generator's Cost(.) values (Eqs. 3 and 5) line up with execution.
 
-// Number of pairs a sorted-neighborhood sweep with window `w` examines in a
-// block of `n` entities: sum over distances d = 1..min(w-1, n-1) of (n - d).
-int64_t WindowPairs(int64_t n, int w);
-
-// Additional cost CostA: reading and sorting the block (Sec. IV-B).
-double CostA(int64_t n, const MechanismCosts& costs);
+// Candidate pairs a windowed mechanism enumerates over a block of `n`
+// entities: sum over distances d = 1..min(window-1, n-1) of (n - d), the
+// d-major order both mechanisms (sorted neighborhood, PSNM) share.
+int64_t WindowPairCount(int64_t n, int window);
 
 // Cost of resolving `dup` duplicate and `dis` distinct pairs (CostP).
 double CostP(double dup, double dis, const MechanismCosts& costs);

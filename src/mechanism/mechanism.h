@@ -23,6 +23,10 @@ struct MechanismCosts {
   double skip = 0.01;                 // skipping a pair (redundancy checks)
 };
 
+// Additional cost CostA of a block of `n` entities: reading and sorting it
+// (Sec. IV-B). The sorting mechanisms charge it; the estimator predicts it.
+double CostA(int64_t n, const MechanismCosts& costs);
+
 // Stopping parameters for resolving one block.
 struct ResolveOptions {
   // Window size w: only pairs whose rank distance in the sorted block is

@@ -21,13 +21,13 @@ std::vector<int> SortedOrder(const std::vector<const Entity*>& block,
   return order;
 }
 
-void ChargeAdditionalCost(int64_t n, const MechanismCosts& costs,
-                          CostClock* clock) {
-  if (n <= 0) return;
+}  // namespace mechanism_internal
+
+double CostA(int64_t n, const MechanismCosts& costs) {
+  if (n <= 0) return 0.0;
   const double log_n = n > 1 ? std::log2(static_cast<double>(n)) : 1.0;
-  clock->Charge(costs.read_per_entity * static_cast<double>(n) +
-                costs.sort_per_entity_log2 * static_cast<double>(n) * log_n);
+  return costs.read_per_entity * static_cast<double>(n) +
+         costs.sort_per_entity_log2 * static_cast<double>(n) * log_n;
 }
 
-}  // namespace mechanism_internal
 }  // namespace progres

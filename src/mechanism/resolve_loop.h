@@ -138,11 +138,6 @@ class PairRestriction {
 std::vector<int> SortedOrder(const std::vector<const Entity*>& block,
                              int sort_attribute);
 
-// Charges the additional cost CostA of reading and sorting a block of `n`
-// entities.
-void ChargeAdditionalCost(int64_t n, const MechanismCosts& costs,
-                          CostClock* clock);
-
 }  // namespace mechanism_internal
 }  // namespace progres
 

@@ -10,7 +10,7 @@ ResolveOutcome SortedNeighborMechanism::Resolve(
   const std::vector<const Entity*>& block = *request.block;
   const int64_t n = static_cast<int64_t>(block.size());
 
-  mechanism_internal::ChargeAdditionalCost(n, costs_, request.clock);
+  request.clock->Charge(CostA(n, costs_));
   ResolveLoop loop(request, costs_);
   if (n < 2) return loop.Finish();
 

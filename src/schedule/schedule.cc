@@ -6,6 +6,8 @@
 #include <string>
 #include <functional>
 #include <limits>
+#include <unordered_set>
+#include <utility>
 
 namespace progres {
 
@@ -376,11 +378,11 @@ std::vector<std::vector<MatchTask>> AssignPairRange(
   return task_units;
 }
 
-// Within-task unit order for BlockSplit: by non-increasing block utility
-// (units of one block adjacent, sub-ranges in position order), then fixed
-// up so that units of a block's in-tree descendants present in the same
-// task precede the block's own units — the bottom-up property the
-// progressive mechanisms' incremental resolution exploits.
+// Within-task unit order: by non-increasing block utility (units of one
+// block adjacent, sub-ranges in position order), then fixed up so that
+// units of a block's in-tree descendants present in the same task precede
+// the block's own units — the bottom-up property the progressive
+// mechanisms' incremental resolution exploits (Sec. III-A).
 void OrderUnitsBottomUp(const std::vector<AnnotatedForest>& forests,
                         std::vector<MatchTask>* units) {
   std::sort(units->begin(), units->end(),
@@ -398,29 +400,27 @@ void OrderUnitsBottomUp(const std::vector<AnnotatedForest>& forests,
               if (a.a_lo != b.a_lo) return a.a_lo < b.a_lo;
               return a.b_lo < b.b_lo;
             });
-  std::unordered_map<uint64_t, std::vector<MatchTask>> of_block;
-  std::vector<BlockRef> block_order;
-  for (const MatchTask& unit : *units) {
-    auto& group = of_block[BlockRefKey(unit.ref)];
-    if (group.empty()) block_order.push_back(unit.ref);
-    group.push_back(unit);
+  // Each block's [first, last) index range in the sorted units.
+  std::unordered_map<uint64_t, std::pair<size_t, size_t>> range_of;
+  for (size_t i = 0; i < units->size(); ++i) {
+    const uint64_t key = BlockRefKey((*units)[i].ref);
+    range_of.try_emplace(key, i, i).first->second.second = i + 1;
   }
   std::vector<MatchTask> out;
   out.reserve(units->size());
-  std::unordered_map<uint64_t, bool> emitted;
+  std::unordered_set<uint64_t> emitted;
   const std::function<void(const BlockRef&)> emit = [&](const BlockRef& ref) {
-    bool& done = emitted[BlockRefKey(ref)];
-    if (done) return;
-    done = true;
+    if (!emitted.insert(BlockRefKey(ref)).second) return;
     const AnnotatedForest& forest = forests[static_cast<size_t>(ref.family)];
     for (int c : SortedInTreeChildren(forest, ref.node)) {
       emit({ref.family, c});
     }
-    const auto it = of_block.find(BlockRefKey(ref));
-    if (it == of_block.end()) return;
-    for (const MatchTask& unit : it->second) out.push_back(unit);
+    const auto it = range_of.find(BlockRefKey(ref));
+    if (it == range_of.end()) return;
+    out.insert(out.end(), units->begin() + static_cast<long>(it->second.first),
+               units->begin() + static_cast<long>(it->second.second));
   };
-  for (const BlockRef& ref : block_order) emit(ref);
+  for (const MatchTask& unit : *units) emit(unit.ref);
   *units = std::move(out);
 }
 
@@ -527,42 +527,35 @@ std::string ValidateScheduleParams(const ScheduleParams& params) {
   return "";
 }
 
-int64_t WindowPairCount(int64_t n, int window) {
-  int64_t pairs = 0;
-  const int64_t max_distance = std::min<int64_t>(window - 1, n - 1);
-  for (int64_t d = 1; d <= max_distance; ++d) pairs += n - d;
-  return pairs;
-}
-
 std::string DescribeSchedule(const ProgressiveSchedule& schedule,
                              const std::vector<AnnotatedForest>& forests,
                              int blocks_per_task) {
   std::string out;
   char line[256];
   for (int t = 0; t < schedule.num_reduce_tasks; ++t) {
-    const auto& blocks = schedule.task_blocks[static_cast<size_t>(t)];
+    const auto& units = schedule.task_units[static_cast<size_t>(t)];
     double cost = 0.0;
-    std::unordered_map<uint64_t, bool> trees;
-    for (const BlockRef& ref : blocks) {
+    std::unordered_set<uint64_t> trees;
+    for (const MatchTask& unit : units) {
       const AnnotatedForest& forest =
-          forests[static_cast<size_t>(ref.family)];
-      cost += forest.block(ref.node).cost;
-      trees[BlockRefKey(ref.family, forest.FindTreeRoot(ref.node))] = true;
+          forests[static_cast<size_t>(unit.ref.family)];
+      cost += forest.block(unit.ref.node).cost;
+      trees.insert(BlockRefKey(unit.ref.family,
+                               forest.FindTreeRoot(unit.ref.node)));
     }
     std::snprintf(line, sizeof(line),
                   "task %d: %zu trees, %zu blocks, est cost %.0f\n", t,
-                  trees.size(), blocks.size(), cost);
+                  trees.size(), units.size(), cost);
     out += line;
     const int shown = std::min<int>(blocks_per_task,
-                                    static_cast<int>(blocks.size()));
+                                    static_cast<int>(units.size()));
     for (int i = 0; i < shown; ++i) {
-      const AnnotatedForest& forest =
-          forests[static_cast<size_t>(blocks[static_cast<size_t>(i)].family)];
+      const BlockRef& ref = units[static_cast<size_t>(i)].ref;
       const AnnotatedBlock& b =
-          forest.block(blocks[static_cast<size_t>(i)].node);
+          forests[static_cast<size_t>(ref.family)].block(ref.node);
       std::snprintf(line, sizeof(line),
                     "  #%d family=%d level=%d size=%lld util=%.4f cost=%.0f%s\n",
-                    i, blocks[static_cast<size_t>(i)].family, b.id.level,
+                    i, ref.family, b.id.level,
                     static_cast<long long>(b.size), b.util, b.cost,
                     b.tree_root ? " [root]" : "");
       out += line;
@@ -583,97 +576,23 @@ double TotalEstimatedCost(const std::vector<AnnotatedForest>& forests) {
 
 namespace {
 
-// Sequence values, task_blocks mirror and dominance values for a pair-level
-// (unit-based) schedule; the counterpart of GenerateSchedule's step 4.
-void FinishPairLevelSchedule(const std::vector<AnnotatedForest>& forests,
-                             ProgressiveSchedule* schedule) {
-  size_t max_units = 1;
-  for (const auto& units : schedule->task_units) {
-    max_units = std::max(max_units, units.size());
-  }
-  schedule->range_per_task = static_cast<int64_t>(max_units) + 1;
-  schedule->task_blocks.resize(schedule->task_units.size());
-  for (size_t t = 0; t < schedule->task_units.size(); ++t) {
-    const auto& units = schedule->task_units[t];
-    auto& blocks = schedule->task_blocks[t];
-    blocks.clear();
-    blocks.reserve(units.size());
-    for (size_t i = 0; i < units.size(); ++i) {
-      const int64_t sq = static_cast<int64_t>(t) * schedule->range_per_task +
-                         static_cast<int64_t>(i);
-      const uint64_t key = BlockRefKey(units[i].ref);
-      schedule->unit_sequences[key].push_back(sq);
-      const auto it = schedule->sequence.find(key);
-      if (it == schedule->sequence.end() || sq < it->second) {
-        schedule->sequence[key] = sq;
-      }
-      blocks.push_back(units[i].ref);
-    }
-  }
-  for (auto& [key, sqs] : schedule->unit_sequences) {
-    std::sort(sqs.begin(), sqs.end());
-  }
-  int32_t next_dom = 1;
-  for (const AnnotatedForest& forest : forests) {
-    for (int root : forest.tree_roots()) {
-      schedule->dominance[BlockRefKey(forest.family(), root)] = next_dom++;
-    }
+// Appends one whole-block unit per block of the tree rooted at `root`.
+void AppendTreeUnits(const AnnotatedForest& forest, int root,
+                     std::vector<MatchTask>* units) {
+  for (int n : forest.TreeBlocks(root)) {
+    const AnnotatedBlock& b = forest.block(n);
+    MatchTask unit;
+    unit.ref = {forest.family(), n};
+    unit.pairs = WindowPairCount(b.size, b.window);
+    units->push_back(unit);
   }
 }
 
-}  // namespace
-
-ProgressiveSchedule GenerateSchedule(std::vector<AnnotatedForest>* forests,
-                                     const ScheduleParams& params) {
-  {
-    ProgressiveSchedule invalid;
-    invalid.error = ValidateScheduleParams(params);
-    if (!invalid.error.empty()) return invalid;
-  }
-  ScheduleParams p = params;
-
-  // ---- Pair-level schedulers (Kolb et al.) ----
-  if (p.scheduler == TreeScheduler::kBlockSplit ||
-      p.scheduler == TreeScheduler::kPairRange) {
-    ProgressiveSchedule schedule;
-    schedule.num_reduce_tasks = p.num_reduce_tasks;
-    schedule.pair_level = true;
-    const std::vector<PairBlock> blocks = CollectPairBlocks(*forests);
-    if (p.scheduler == TreeScheduler::kBlockSplit) {
-      schedule.task_units = AssignBlockSplit(blocks, p.num_reduce_tasks);
-      for (auto& units : schedule.task_units) {
-        OrderUnitsBottomUp(*forests, &units);
-      }
-    } else {
-      // PairRange keeps range order (canonical enumeration order): batch
-      // semantics, documented — progressive utility ordering does not apply.
-      schedule.task_units = AssignPairRange(blocks, p.num_reduce_tasks);
-    }
-    if (p.per_task_budget > 0.0) {
-      // Prorate each block's estimated cost over its units by pair share.
-      for (auto& units : schedule.task_units) {
-        double cumulative = 0.0;
-        size_t keep = 0;
-        while (keep < units.size()) {
-          const MatchTask& unit = units[keep];
-          const AnnotatedBlock& b =
-              (*forests)[static_cast<size_t>(unit.ref.family)].block(
-                  unit.ref.node);
-          const int64_t block_pairs = WindowPairCount(b.size, b.window);
-          cumulative += block_pairs > 0
-                            ? b.cost * static_cast<double>(unit.pairs) /
-                                  static_cast<double>(block_pairs)
-                            : b.cost;
-          if (cumulative > p.per_task_budget) break;
-          ++keep;
-        }
-        units.resize(keep);
-      }
-    }
-    FinishPairLevelSchedule(*forests, &schedule);
-    return schedule;
-  }
-
+// The tree schedulers (Sec. IV-C): split overflowed trees (kOurs only),
+// then assign whole trees to reduce tasks. Returns each task's units, one
+// kWhole unit per block of its trees, in assignment order.
+std::vector<std::vector<MatchTask>> AssignTrees(
+    std::vector<AnnotatedForest>* forests, ScheduleParams p) {
   if (p.cost_vector.empty()) {
     p.cost_vector =
         MakeUniformCostVector(TotalEstimatedCost(*forests),
@@ -743,10 +662,8 @@ ProgressiveSchedule GenerateSchedule(std::vector<AnnotatedForest>* forests,
   std::vector<TreeInfo> trees =
       CollectTrees(*forests, bucket_of, p.cost_vector, p.weights);
 
-  ProgressiveSchedule schedule;
-  schedule.num_reduce_tasks = p.num_reduce_tasks;
-  schedule.task_blocks.resize(static_cast<size_t>(p.num_reduce_tasks));
-
+  std::vector<std::vector<MatchTask>> task_units(
+      static_cast<size_t>(p.num_reduce_tasks));
   if (p.scheduler == TreeScheduler::kLpt) {
     // LPT: longest (total cost) first onto the least-loaded task.
     std::sort(trees.begin(), trees.end(),
@@ -766,7 +683,8 @@ ProgressiveSchedule GenerateSchedule(std::vector<AnnotatedForest>* forests,
         }
       }
       load[static_cast<size_t>(best)] += tree.total_cost;
-      schedule.task_of_tree[BlockRefKey(tree.root)] = best;
+      AppendTreeUnits((*forests)[static_cast<size_t>(tree.root.family)],
+                      tree.root.node, &task_units[static_cast<size_t>(best)]);
     }
   } else {
     // ASSIGN-TREES: weighted-cost order onto the task with the largest
@@ -825,105 +743,97 @@ ProgressiveSchedule GenerateSchedule(std::vector<AnnotatedForest>* forests,
         load[static_cast<size_t>(best)][h] += tree.vc[h];
       }
       total_load[static_cast<size_t>(best)] += tree.total_cost;
-      schedule.task_of_tree[BlockRefKey(tree.root)] = best;
+      AppendTreeUnits((*forests)[static_cast<size_t>(tree.root.family)],
+                      tree.root.node, &task_units[static_cast<size_t>(best)]);
     }
   }
+  return task_units;
+}
 
-  // ---- Step 3: per-task block schedules ----
-  // Within a task, blocks are ordered by non-increasing utility, except that
-  // a block's in-tree descendants always precede it (bottom-up resolution,
-  // Sec. III-A): when a block is emitted, its unemitted descendants are
-  // emitted first, themselves in utility order.
-  for (int t = 0; t < p.num_reduce_tasks; ++t) {
-    struct TaskBlock {
-      BlockRef ref;
-      double util;
-    };
-    std::vector<TaskBlock> blocks;
-    for (const TreeInfo& tree : trees) {
-      if (schedule.task_of_tree.at(BlockRefKey(tree.root)) != t) continue;
-      const AnnotatedForest& forest =
-          (*forests)[static_cast<size_t>(tree.root.family)];
-      for (int n : forest.TreeBlocks(tree.root.node)) {
-        blocks.push_back({{tree.root.family, n}, forest.block(n).util});
-      }
+// Cuts `units` to its longest prefix whose estimated cost fits `budget`. A
+// unit costs its block's estimate times its share of the block's candidate
+// pairs; a whole-block unit costs exactly the block's estimate.
+void CutToBudget(const std::vector<AnnotatedForest>& forests, double budget,
+                 std::vector<MatchTask>* units) {
+  double cumulative = 0.0;
+  size_t keep = 0;
+  for (; keep < units->size(); ++keep) {
+    const MatchTask& unit = (*units)[keep];
+    const AnnotatedBlock& b =
+        forests[static_cast<size_t>(unit.ref.family)].block(unit.ref.node);
+    double cost = b.cost;
+    if (unit.kind != MatchTask::Kind::kWhole) {
+      cost = cost * static_cast<double>(unit.pairs) /
+             static_cast<double>(WindowPairCount(b.size, b.window));
     }
-    std::sort(blocks.begin(), blocks.end(),
-              [](const TaskBlock& a, const TaskBlock& b) {
-                if (a.util != b.util) return a.util > b.util;
-                if (a.ref.family != b.ref.family)
-                  return a.ref.family < b.ref.family;
-                return a.ref.node < b.ref.node;
-              });
-
-    std::unordered_map<uint64_t, bool> emitted;
-    std::vector<BlockRef>& out = schedule.task_blocks[static_cast<size_t>(t)];
-    // Recursive emission with the bottom-up constraint.
-    const std::function<void(const BlockRef&)> emit =
-        [&](const BlockRef& ref) {
-          bool& done = emitted[BlockRefKey(ref)];
-          if (done) return;
-          done = true;  // mark first: guards against cycles (none expected)
-          const AnnotatedForest& forest =
-              (*forests)[static_cast<size_t>(ref.family)];
-          for (int c : SortedInTreeChildren(forest, ref.node)) {
-            emit({ref.family, c});
-          }
-          out.push_back(ref);
-        };
-    for (const TaskBlock& tb : blocks) emit(tb.ref);
+    cumulative += cost;
+    if (cumulative > budget) break;
   }
+  units->resize(keep);
+}
 
-  // ---- Step 3b: budget truncation ----
-  if (p.per_task_budget > 0.0) {
-    for (auto& blocks : schedule.task_blocks) {
-      double cumulative = 0.0;
-      size_t keep = 0;
-      while (keep < blocks.size()) {
-        const BlockRef& ref = blocks[keep];
-        cumulative +=
-            (*forests)[static_cast<size_t>(ref.family)].block(ref.node).cost;
-        if (cumulative > p.per_task_budget) break;
-        ++keep;
-      }
-      blocks.resize(keep);
-    }
+// Numbers the units, SQ = task * range_per_task + position (visiting tasks
+// and positions in order keeps each block's SQs ascending), and assigns
+// every tree its dominance value.
+void NumberUnits(const std::vector<AnnotatedForest>& forests,
+                 ProgressiveSchedule* schedule) {
+  size_t max_units = 1;
+  for (const auto& units : schedule->task_units) {
+    max_units = std::max(max_units, units.size());
   }
-
-  // ---- Step 4: sequence values and dominance values ----
-  size_t max_blocks = 1;
-  for (const auto& blocks : schedule.task_blocks) {
-    max_blocks = std::max(max_blocks, blocks.size());
-  }
-  schedule.range_per_task = static_cast<int64_t>(max_blocks) + 1;
-  for (int t = 0; t < p.num_reduce_tasks; ++t) {
-    const auto& blocks = schedule.task_blocks[static_cast<size_t>(t)];
-    for (size_t i = 0; i < blocks.size(); ++i) {
-      schedule.sequence[BlockRefKey(blocks[i])] =
-          static_cast<int64_t>(t) * schedule.range_per_task +
-          static_cast<int64_t>(i);
+  schedule->range_per_task = static_cast<int64_t>(max_units) + 1;
+  for (size_t t = 0; t < schedule->task_units.size(); ++t) {
+    const auto& units = schedule->task_units[t];
+    for (size_t i = 0; i < units.size(); ++i) {
+      schedule->unit_sequences[BlockRefKey(units[i].ref)].push_back(
+          static_cast<int64_t>(t) * schedule->range_per_task +
+          static_cast<int64_t>(i));
     }
   }
   int32_t next_dom = 1;
-  for (const AnnotatedForest& forest : *forests) {
+  for (const AnnotatedForest& forest : forests) {
     for (int root : forest.tree_roots()) {
-      schedule.dominance[BlockRefKey(forest.family(), root)] = next_dom++;
+      schedule->dominance[BlockRefKey(forest.family(), root)] = next_dom++;
     }
   }
+}
 
-  // Mirror the block schedules as kWhole units so unit-level consumers (the
-  // coverage harness, DescribeSchedule) see one uniform representation.
-  schedule.task_units.resize(schedule.task_blocks.size());
-  for (size_t t = 0; t < schedule.task_blocks.size(); ++t) {
-    for (const BlockRef& ref : schedule.task_blocks[t]) {
-      const AnnotatedBlock& b =
-          (*forests)[static_cast<size_t>(ref.family)].block(ref.node);
-      MatchTask unit;
-      unit.ref = ref;
-      unit.pairs = WindowPairCount(b.size, b.window);
-      schedule.task_units[t].push_back(unit);
+}  // namespace
+
+ProgressiveSchedule GenerateSchedule(std::vector<AnnotatedForest>* forests,
+                                     const ScheduleParams& params) {
+  ProgressiveSchedule schedule;
+  schedule.error = ValidateScheduleParams(params);
+  if (!schedule.error.empty()) return schedule;
+  schedule.num_reduce_tasks = params.num_reduce_tasks;
+  switch (params.scheduler) {
+    case TreeScheduler::kBlockSplit:
+      schedule.task_units = AssignBlockSplit(CollectPairBlocks(*forests),
+                                             params.num_reduce_tasks);
+      schedule.pair_level = true;
+      break;
+    case TreeScheduler::kPairRange:
+      schedule.task_units = AssignPairRange(CollectPairBlocks(*forests),
+                                            params.num_reduce_tasks);
+      schedule.pair_level = true;
+      break;
+    case TreeScheduler::kOurs:
+    case TreeScheduler::kNoSplit:
+    case TreeScheduler::kLpt:
+      schedule.task_units = AssignTrees(forests, params);
+      break;
+  }
+  for (std::vector<MatchTask>& units : schedule.task_units) {
+    // PairRange keeps range order (canonical enumeration order): batch
+    // semantics, documented — progressive utility ordering does not apply.
+    if (params.scheduler != TreeScheduler::kPairRange) {
+      OrderUnitsBottomUp(*forests, &units);
+    }
+    if (params.per_task_budget > 0.0) {
+      CutToBudget(*forests, params.per_task_budget, &units);
     }
   }
+  NumberUnits(*forests, &schedule);
   return schedule;
 }
 

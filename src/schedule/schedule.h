@@ -52,9 +52,11 @@ struct ScheduleParams {
   // Batch size b: trees split per iteration before SL is re-sorted.
   int batch_size = 4;
   TreeScheduler scheduler = TreeScheduler::kOurs;
-  // When > 0, each task's block schedule is truncated once its cumulative
-  // estimated cost exceeds this budget (the extended report's
-  // quality-within-a-budget variant). Truncation drops a suffix, so the
+  // When > 0, each task's unit list is cut to its longest prefix whose
+  // estimated cost fits this budget (the extended report's
+  // quality-within-a-budget variant). A unit costs its block's estimate
+  // times the unit's share of the block's candidate pairs, so a whole-block
+  // unit costs exactly the block's estimate. The cut drops a suffix, so the
   // bottom-up (children first) property is preserved.
   double per_task_budget = 0.0;
 };
@@ -82,17 +84,13 @@ std::vector<double> MakeStepWeights(int k, double cutoff_fraction);
 // or weights are valid: GenerateSchedule fills in documented defaults.
 std::string ValidateScheduleParams(const ScheduleParams& params);
 
-// Candidate pairs a windowed mechanism enumerates over a block of `n`
-// entities: sum over d = 1..window-1 of max(0, n - d) — the d-major order
-// both mechanisms (sorted neighborhood, PSNM) share.
-int64_t WindowPairCount(int64_t n, int window);
-
-// One reduce-side match unit. The tree schedulers assign whole blocks
-// (kWhole); the pair-level schedulers also produce sub-block tasks:
-// BlockSplit's single/cross tasks restrict the sorted positions of a
-// pair's endpoints (kSub), PairRange slices the block's canonical d-major
-// pair enumeration by index (kSlice). Every unit ships the full block
-// membership; the restriction is applied during enumeration.
+// One reduce-side match unit, the schedule's unit of work. The tree
+// schedulers emit one whole-block unit (kWhole) per block; the pair-level
+// schedulers also produce sub-block tasks: BlockSplit's single/cross tasks
+// restrict the sorted positions of a pair's endpoints (kSub), PairRange
+// slices the block's canonical d-major pair enumeration by index (kSlice).
+// Every unit ships the full block membership; the restriction is applied
+// during enumeration.
 struct MatchTask {
   enum class Kind { kWhole, kSub, kSlice };
   BlockRef ref;
@@ -106,50 +104,41 @@ struct MatchTask {
   int64_t pairs = 0;
 };
 
-// The generated progressive schedule: one tree schedule (tree -> reduce
-// task) plus one block schedule per reduce task (Sec. III-B).
+// The generated progressive schedule (Sec. III-B): one ordered list of
+// match units per reduce task, addressed by sequence values.
 struct ProgressiveSchedule {
   int num_reduce_tasks = 0;
 
-  // Blocks of each reduce task in resolution order (the block schedule).
-  // Within a tree the order is bottom-up; across blocks it is by
-  // non-increasing utility.
-  std::vector<std::vector<BlockRef>> task_blocks;
+  // Units of each reduce task in resolution order. A block's in-tree
+  // descendants on the same task precede it (bottom-up); otherwise units
+  // follow non-increasing block utility, except under PairRange, which
+  // keeps its range order.
+  std::vector<std::vector<MatchTask>> task_units;
 
-  // Sequence values: SQ(block) = task * range_per_task + position, so the
+  // Sequence values: SQ(unit) = task * range_per_task + position, so the
   // MR partitioner routes on SQ / range_per_task and the runtime's key sort
-  // yields each task's block schedule.
+  // yields each task's unit order. unit_sequences holds the SQs of each
+  // scheduled block's units (BlockRefKey -> ascending SQs); a block the
+  // budget cut dropped has none.
   int64_t range_per_task = 0;
-  std::unordered_map<uint64_t, int64_t> sequence;  // BlockRefKey -> SQ
+  std::unordered_map<uint64_t, std::vector<int64_t>> unit_sequences;
 
   // Dominance value Dom(T) of each tree, keyed by the root's BlockRefKey.
   // Unique across all trees of all families (Sec. V).
   std::unordered_map<uint64_t, int32_t> dominance;
 
-  // Reduce task of each tree root. Empty for the pair-level schedulers,
-  // whose trees may span tasks.
-  std::unordered_map<uint64_t, int> task_of_tree;
-
-  // True for kBlockSplit/kPairRange: the schedule's unit of assignment is a
-  // match task, not a block. task_units parallels task_blocks one-to-one
-  // (task_blocks[t][i] == task_units[t][i].ref); for the tree schedulers
-  // every unit is kWhole. Pair-level drivers route on unit sequence values:
-  // SQ(unit) = task * range_per_task + position, with `sequence` keeping a
-  // block's first SQ and unit_sequences all of them (ascending).
+  // True for kBlockSplit/kPairRange: a block's units, and so a tree's, may
+  // sit on different reduce tasks.
   bool pair_level = false;
-  std::vector<std::vector<MatchTask>> task_units;
-  std::unordered_map<uint64_t, std::vector<int64_t>> unit_sequences;
 
   // Non-empty when the input parameters failed validation; the rest of the
   // schedule is empty and must not be used.
   std::string error;
 
-  int64_t SequenceOf(int family, int node) const {
-    const auto it = sequence.find(BlockRefKey(family, node));
-    return it == sequence.end() ? -1 : it->second;
-  }
-  int TaskOfSequence(int64_t sq) const {
-    return static_cast<int>(sq / range_per_task);
+  // The unit sequence value `sq` addresses.
+  const MatchTask& UnitOf(int64_t sq) const {
+    return task_units[static_cast<size_t>(sq / range_per_task)]
+                     [static_cast<size_t>(sq % range_per_task)];
   }
 };
 
@@ -159,8 +148,9 @@ ProgressiveSchedule GenerateSchedule(std::vector<AnnotatedForest>* forests,
                                      const ScheduleParams& params);
 
 // Human-readable description of a schedule: per reduce task, the number of
-// trees and blocks, the estimated cost, and the first few blocks in
-// resolution order. For debugging and the CLI's `explain` command.
+// trees and units (printed as blocks), the estimated cost of the units'
+// blocks, and the blocks of the first few units in resolution order. For
+// debugging and the CLI's `explain` command.
 std::string DescribeSchedule(const ProgressiveSchedule& schedule,
                              const std::vector<AnnotatedForest>& forests,
                              int blocks_per_task = 5);

@@ -93,8 +93,8 @@ INSTANTIATE_TEST_SUITE_P(
                     std::make_tuple(33, 40, 5)));
 
 // Full resolution of an isolated block (no redundancy, no termination)
-// compares exactly WindowPairs(n, w) pairs — the quantity CostF prices.
-TEST(CostAgreementTest, FullResolutionComparesWindowPairs) {
+// compares exactly WindowPairCount(n, w) pairs — the quantity CostF prices.
+TEST(CostAgreementTest, FullResolutionComparesWindowPairCount) {
   const MechanismCosts costs;
   const SortedNeighborMechanism sn(costs);
   for (int n : {2, 7, 40, 150}) {
@@ -103,7 +103,7 @@ TEST(CostAgreementTest, FullResolutionComparesWindowPairs) {
           RandomBlock(n, static_cast<uint64_t>(n * 31 + window));
       const Charged charged = Resolve(sn, entities, {.window = window});
       EXPECT_EQ(charged.outcome.duplicates + charged.outcome.distinct,
-                WindowPairs(n, window))
+                WindowPairCount(n, window))
           << "n=" << n << " w=" << window;
       const double expected =
           CostA(n, costs) + CostF(n, window, PairsOf(n), costs);

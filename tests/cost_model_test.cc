@@ -5,7 +5,7 @@
 namespace progres {
 namespace {
 
-int64_t BruteWindowPairs(int64_t n, int w) {
+int64_t BruteWindowPairCount(int64_t n, int w) {
   int64_t count = 0;
   for (int64_t d = 1; d <= std::min<int64_t>(w - 1, n - 1); ++d) {
     count += n - d;
@@ -13,23 +13,23 @@ int64_t BruteWindowPairs(int64_t n, int w) {
   return count;
 }
 
-TEST(WindowPairsTest, MatchesBruteForce) {
-  for (int64_t n : {0L, 1L, 2L, 3L, 10L, 17L, 100L}) {
+TEST(WindowPairCountTest, MatchesBruteForce) {
+  for (int64_t n : {0L, 1L, 2L, 3L, 5L, 10L, 14L, 15L, 16L, 17L, 100L}) {
     for (int w : {1, 2, 3, 5, 15, 200}) {
-      EXPECT_EQ(WindowPairs(n, w), BruteWindowPairs(n, w))
+      EXPECT_EQ(WindowPairCount(n, w), BruteWindowPairCount(n, w))
           << "n=" << n << " w=" << w;
     }
   }
 }
 
-TEST(WindowPairsTest, LargeWindowEqualsAllPairs) {
-  EXPECT_EQ(WindowPairs(10, 100), 45);  // Pairs(10)
+TEST(WindowPairCountTest, LargeWindowEqualsAllPairs) {
+  EXPECT_EQ(WindowPairCount(10, 100), 45);  // Pairs(10)
 }
 
-TEST(WindowPairsTest, TinyBlocks) {
-  EXPECT_EQ(WindowPairs(0, 15), 0);
-  EXPECT_EQ(WindowPairs(1, 15), 0);
-  EXPECT_EQ(WindowPairs(2, 15), 1);
+TEST(WindowPairCountTest, TinyBlocks) {
+  EXPECT_EQ(WindowPairCount(0, 15), 0);
+  EXPECT_EQ(WindowPairCount(1, 15), 0);
+  EXPECT_EQ(WindowPairCount(2, 15), 1);
 }
 
 TEST(CostATest, GrowsSuperlinearly) {
@@ -49,14 +49,14 @@ TEST(CostPTest, LinearInPairs) {
 TEST(CostFTest, CoveredPairsAtComparisonPrice) {
   const MechanismCosts costs;
   // cov >= window pairs: every window pair is a genuine comparison.
-  const int64_t pairs = WindowPairs(20, 5);
+  const int64_t pairs = WindowPairCount(20, 5);
   EXPECT_DOUBLE_EQ(CostF(20, 5, /*cov=*/1000, costs),
                    costs.comparison * static_cast<double>(pairs));
 }
 
 TEST(CostFTest, UncoveredPairsAtSkipPrice) {
   const MechanismCosts costs;
-  const int64_t pairs = WindowPairs(20, 5);
+  const int64_t pairs = WindowPairCount(20, 5);
   // cov = 0: every window pair is a skip.
   EXPECT_DOUBLE_EQ(CostF(20, 5, /*cov=*/0, costs),
                    costs.skip * static_cast<double>(pairs));
@@ -64,7 +64,7 @@ TEST(CostFTest, UncoveredPairsAtSkipPrice) {
 
 TEST(CostFTest, MixedCovSplitsPrices) {
   const MechanismCosts costs;
-  const int64_t pairs = WindowPairs(20, 5);
+  const int64_t pairs = WindowPairCount(20, 5);
   const int64_t cov = pairs / 2;
   EXPECT_DOUBLE_EQ(CostF(20, 5, cov, costs),
                    costs.comparison * static_cast<double>(cov) +

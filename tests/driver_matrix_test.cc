@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -185,6 +186,25 @@ TEST_P(GoldenEquivalenceTest, TracingLeavesOutputByteIdentical) {
       << name << " recorded no spans while traced";
 }
 
+// Byte-identical schedules: every scheduler's match units (block,
+// restriction, pair count) per task in resolution order, the SQ range per
+// task and the dominance values, without and with a per-task budget, on
+// the golden workload and its mega-block variant. The schedule does not
+// depend on the shuffle, so no overlay applies. Regenerate with
+// `make_er_golden tests/golden` only for intentional schedule changes.
+TEST(GoldenScheduleTest, MatchesFrozenFixture) {
+  std::ifstream in(std::string(PROGRES_GOLDEN_DIR) + "/schedule.golden",
+                   std::ios::binary);
+  ASSERT_TRUE(in.is_open()) << "missing schedule fixture";
+  std::stringstream frozen;
+  frozen << in.rdbuf();
+  // The fixture covers every restriction kind, not only whole blocks.
+  EXPECT_NE(frozen.str().find(" sub a="), std::string::npos);
+  EXPECT_NE(frozen.str().find(" slice ["), std::string::npos);
+  EXPECT_TRUE(testing_util::GoldenScheduleDump() == frozen.str())
+      << "generated schedules diverged from tests/golden/schedule.golden";
+}
+
 // The drivers price every emitted pair into their own "shuffle.bytes"
 // counter with a formula that shares no code with the KvCodec encoding;
 // the runtime's "mr.shuffle.bytes" counts the encoded bytes the shuffle
@@ -286,6 +306,36 @@ TEST(SchedulerDifferentialTest, FinalDuplicatesInvariantAcrossSchedulers) {
       first_clusters = clusters;
     } else {
       EXPECT_EQ(clusters, first_clusters);
+    }
+  }
+}
+
+// Result chunks close every alpha cost units, so a non-positive (or NaN)
+// alpha would never close one: every resolving driver must fail the run
+// with a labelled error instead.
+TEST(DriverOptionsTest, NonPositiveAlphaFailsTheRun) {
+  const testing_util::GoldenWorkload w = testing_util::MakeGoldenWorkload();
+  const ProbabilityModel prob =
+      ProbabilityModel::Train(w.train.dataset, w.train.truth, w.blocking);
+  const SortedNeighborMechanism sn;
+  for (const double alpha :
+       {0.0, -1.0, std::numeric_limits<double>::quiet_NaN()}) {
+    SCOPED_TRACE(alpha);
+    BasicErOptions basic;
+    basic.alpha = alpha;
+    MrsnOptions mrsn;
+    mrsn.alpha = alpha;
+    ProgressiveErOptions progressive;
+    progressive.alpha = alpha;
+    const ErRunResult results[] = {
+        BasicEr(w.blocking, w.match, sn, basic).Run(w.data.dataset),
+        MrsnEr(w.blocking, w.match, mrsn).Run(w.data.dataset),
+        ProgressiveEr(w.blocking, w.match, sn, prob, progressive)
+            .Run(w.data.dataset)};
+    for (const ErRunResult& result : results) {
+      EXPECT_TRUE(result.failed);
+      EXPECT_NE(result.error.find("alpha"), std::string::npos)
+          << result.error;
     }
   }
 }

@@ -8,9 +8,11 @@
 // chunks and timings — is serialized to a canonical text form. The
 // `make_er_golden` tool wrote the fixtures under tests/golden/ at the
 // pre-refactor seed state; `driver_matrix_test` re-runs the drivers and
-// diffs against them byte for byte.
+// diffs against them byte for byte. `schedule.golden` freezes the
+// generated schedules the same way.
 
 #include <cstdio>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -37,7 +39,9 @@ struct GoldenWorkload {
   MatchFunction match{{}, 0.75};
 };
 
-inline GoldenWorkload MakeGoldenWorkload() {
+// `mega_block_fraction` > 0 dials in the head-heavy mega-block profile on
+// the same seeds (the schedule fixture's skewed workload).
+inline GoldenWorkload MakeGoldenWorkload(double mega_block_fraction = 0.0) {
   GoldenWorkload w;
   PublicationConfig train_gen;
   train_gen.num_entities = 500;
@@ -46,6 +50,7 @@ inline GoldenWorkload MakeGoldenWorkload() {
   PublicationConfig gen;
   gen.num_entities = 1500;
   gen.seed = 412;
+  gen.mega_block_fraction = mega_block_fraction;
   w.data = GeneratePublications(gen);
   w.blocking = BlockingConfig({{"X", kPubTitle, {2, 4, 8}, -1},
                                {"Y", kPubAbstract, {3, 5}, -1},
@@ -222,6 +227,86 @@ inline std::string GoldenTraceJson() {
   TraceRecorder recorder;
   RunGoldenDriver("progressive_perblock", &recorder);
   return recorder.ToChromeJson();
+}
+
+// Canonical text form of a progressive schedule: the SQ range per task,
+// every task's match units in resolution order (block, restriction, pair
+// count) and the dominance values in key order.
+inline std::string DumpSchedule(const ProgressiveSchedule& schedule) {
+  std::string out =
+      "range_per_task=" + std::to_string(schedule.range_per_task) + "\n";
+  for (size_t t = 0; t < schedule.task_units.size(); ++t) {
+    const std::vector<MatchTask>& units = schedule.task_units[t];
+    out += "task " + std::to_string(t) + " units=" +
+           std::to_string(units.size()) + "\n";
+    for (const MatchTask& unit : units) {
+      out += "unit " + std::to_string(unit.ref.family) + ":" +
+             std::to_string(unit.ref.node);
+      switch (unit.kind) {
+        case MatchTask::Kind::kWhole:
+          out += " whole";
+          break;
+        case MatchTask::Kind::kSub:
+          out += " sub a=[" + std::to_string(unit.a_lo) + "," +
+                 std::to_string(unit.a_hi) + ") b=[" +
+                 std::to_string(unit.b_lo) + "," + std::to_string(unit.b_hi) +
+                 ")";
+          break;
+        case MatchTask::Kind::kSlice:
+          out += " slice [" + std::to_string(unit.begin) + "," +
+                 std::to_string(unit.end) + ")";
+          break;
+      }
+      out += " pairs=" + std::to_string(unit.pairs) + "\n";
+    }
+  }
+  const std::map<uint64_t, int32_t> dominance(schedule.dominance.begin(),
+                                              schedule.dominance.end());
+  for (const auto& [key, value] : dominance) {
+    out += "dom " + std::to_string(key >> 32) + ":" +
+           std::to_string(key & 0xffffffffULL) + "=" + std::to_string(value) +
+           "\n";
+  }
+  return out;
+}
+
+// The frozen schedule fixture (tests/golden/schedule.golden): every
+// scheduler, without and with a per-task cost budget, generated by the
+// progressive driver's preprocessing on the golden workload
+// (GoldenCluster()) and on its 30% mega-block variant, whose 8 machines
+// give 16 reduce tasks so BlockSplit must split the mega block.
+inline std::string GoldenScheduleDump() {
+  const struct {
+    const char* name;
+    TreeScheduler scheduler;
+  } kSchedulers[] = {{"ours", TreeScheduler::kOurs},
+                     {"nosplit", TreeScheduler::kNoSplit},
+                     {"lpt", TreeScheduler::kLpt},
+                     {"blocksplit", TreeScheduler::kBlockSplit},
+                     {"pairrange", TreeScheduler::kPairRange}};
+  const SortedNeighborMechanism sn;
+  std::string out;
+  for (const int mega_percent : {0, 30}) {
+    const GoldenWorkload w = MakeGoldenWorkload(mega_percent / 100.0);
+    const ProbabilityModel prob =
+        ProbabilityModel::Train(w.train.dataset, w.train.truth, w.blocking);
+    for (const auto& [name, scheduler] : kSchedulers) {
+      for (const double budget : {0.0, 1500.0}) {
+        ProgressiveErOptions options;
+        options.cluster = GoldenCluster();
+        if (mega_percent > 0) options.cluster.machines = 8;
+        options.scheduler = scheduler;
+        options.per_task_cost_budget = budget;
+        const ProgressiveEr er(w.blocking, w.match, sn, prob, options);
+        const ProgressiveEr::Preprocessed pre = er.Preprocess(w.data.dataset);
+        out += "schedule mega=" + std::to_string(mega_percent) +
+               "% scheduler=" + name + " budget=" + FormatExact(budget) + "\n";
+        out += pre.failed ? "failed " + pre.error + "\n"
+                          : DumpSchedule(pre.schedule);
+      }
+    }
+  }
+  return out;
 }
 
 }  // namespace testing_util

@@ -408,13 +408,19 @@ FaultConfig ReconcileFaults() {
 }
 
 TEST(ThreadedTraceTest, SpansReconcileWithMrCounters) {
+  // Over one 4 KiB block per map task, so the forced-spill and disk-fault
+  // variants reconcile real spill writes and merges.
+  constexpr int kRecords = 20000;
   ClusterConfig cluster =
       RawCluster(2, 4, ExecutionBackend::kThreaded, ReconcileFaults());
   TraceRecorder recorder;
   cluster.trace = &recorder;
   CheckpointStore store;
-  const DiffJob::Result r = RunRawJob(cluster, 229, &store, 5.0);
+  const DiffJob::Result r = RunRawJob(cluster, kRecords, &store, 5.0);
   ASSERT_FALSE(r.failed) << r.error;
+  if (testing_util::ForcedSpillOverlayActive()) {
+    EXPECT_GT(r.counters.Get("mr.spill.runs"), 0);
+  }
 
   int64_t attempts = 0;
   int64_t failed = 0;
@@ -467,12 +473,17 @@ TEST(ThreadedTraceTest, SpansReconcileWithMrCounters) {
         break;
       case SpanKind::kSpillRetry:
       case SpanKind::kRunCorrupt:
+        // Storage faults are injected only by the disk-fault overlay.
+        if (!testing_util::DiskFaultOverlayActive()) {
+          ADD_FAILURE() << "storage-fault span without injected faults";
+        }
+        break;
       case SpanKind::kRestartRestore:
       case SpanKind::kDeadlineCancel:
       case SpanKind::kTaskQuarantine:
       case SpanKind::kBreakerTrip:
-        // The job neither spills nor persists checkpoints nor runs under
-        // supervision, so none of these may appear.
+        // The job neither persists checkpoints nor runs under supervision,
+        // so none of these may appear.
         ADD_FAILURE() << "unexpected span kind " << static_cast<int>(span.kind);
         break;
     }
@@ -499,7 +510,8 @@ TEST(ThreadedTraceTest, SpansReconcileWithMrCounters) {
   ClusterConfig untraced = cluster;
   untraced.trace = nullptr;
   CheckpointStore untraced_store;
-  const DiffJob::Result plain = RunRawJob(untraced, 229, &untraced_store, 5.0);
+  const DiffJob::Result plain =
+      RunRawJob(untraced, kRecords, &untraced_store, 5.0);
   EXPECT_EQ(r.outputs, plain.outputs);
   EXPECT_EQ(r.counters.values(), plain.counters.values());
   EXPECT_DOUBLE_EQ(r.timing.end, plain.timing.end);

@@ -1,6 +1,7 @@
-// Regenerates the driver golden fixtures under tests/golden/. Run it only
-// when the drivers' observable behaviour is *meant* to change; the fixtures
-// freeze the outputs the refactored runtime must reproduce byte for byte.
+// Regenerates the golden fixtures under tests/golden/. Run it only when the
+// drivers' observable behaviour or the generated schedules are *meant* to
+// change; the fixtures freeze the outputs a refactor must reproduce byte
+// for byte.
 //
 //   make_er_golden <output-dir>
 
@@ -16,27 +17,23 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string dir = argv[1];
-  for (const std::string& name : progres::testing_util::GoldenDriverNames()) {
-    const std::string content = progres::testing_util::RunGoldenDriver(name);
+  const auto write = [&](const std::string& name, const std::string& content) {
     const std::string path = dir + "/" + name + ".golden";
     std::ofstream out(path, std::ios::binary);
     if (!out) {
       std::fprintf(stderr, "cannot write %s\n", path.c_str());
-      return 1;
+      return false;
     }
     out << content;
     std::printf("wrote %s (%zu bytes)\n", path.c_str(), content.size());
+    return true;
+  };
+  for (const std::string& name : progres::testing_util::GoldenDriverNames()) {
+    if (!write(name, progres::testing_util::RunGoldenDriver(name))) return 1;
   }
-  {
-    const std::string content = progres::testing_util::GoldenTraceJson();
-    const std::string path = dir + "/trace_progressive.golden";
-    std::ofstream out(path, std::ios::binary);
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", path.c_str());
-      return 1;
-    }
-    out << content;
-    std::printf("wrote %s (%zu bytes)\n", path.c_str(), content.size());
+  if (!write("trace_progressive", progres::testing_util::GoldenTraceJson()) ||
+      !write("schedule", progres::testing_util::GoldenScheduleDump())) {
+    return 1;
   }
   return 0;
 }

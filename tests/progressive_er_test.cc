@@ -128,7 +128,7 @@ TEST(ProgressiveErTest, PreprocessExposesScheduleAndForests) {
   EXPECT_GT(pre.end_time, 0.0);
   EXPECT_EQ(pre.schedule.num_reduce_tasks, TestCluster().reduce_slots());
   size_t scheduled = 0;
-  for (const auto& blocks : pre.schedule.task_blocks) scheduled += blocks.size();
+  for (const auto& units : pre.schedule.task_units) scheduled += units.size();
   EXPECT_GT(scheduled, 0u);
 }
 

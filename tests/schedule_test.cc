@@ -45,6 +45,32 @@ ScheduleParams DefaultParams(int r, TreeScheduler scheduler) {
   return p;
 }
 
+constexpr TreeScheduler kAllSchedulers[] = {
+    TreeScheduler::kOurs, TreeScheduler::kNoSplit, TreeScheduler::kLpt,
+    TreeScheduler::kBlockSplit, TreeScheduler::kPairRange};
+
+bool SameUnit(const MatchTask& a, const MatchTask& b) {
+  return a.ref == b.ref && a.kind == b.kind && a.a_lo == b.a_lo &&
+         a.a_hi == b.a_hi && a.b_lo == b.b_lo && a.b_hi == b.b_hi &&
+         a.begin == b.begin && a.end == b.end && a.pairs == b.pairs;
+}
+
+// The budget rule, restated: a unit costs its block's estimate times its
+// share of the block's candidate pairs; a whole-block unit costs exactly
+// the block's estimate.
+double UnitCost(const std::vector<AnnotatedForest>& forests,
+                const MatchTask& unit) {
+  const AnnotatedBlock& b =
+      forests[static_cast<size_t>(unit.ref.family)].block(unit.ref.node);
+  if (unit.kind == MatchTask::Kind::kWhole) return b.cost;
+  int64_t block_pairs = 0;
+  for (int64_t d = 1; d < b.window; ++d) {
+    block_pairs += std::max<int64_t>(0, b.size - d);
+  }
+  return b.cost * static_cast<double>(unit.pairs) /
+         static_cast<double>(block_pairs);
+}
+
 TEST(CostVectorTest, UniformVectorIsIncreasing) {
   const std::vector<double> c = MakeUniformCostVector(1000.0, 4, 5);
   ASSERT_EQ(c.size(), 5u);
@@ -67,9 +93,10 @@ TEST(ScheduleTest, EveryLiveBlockScheduledExactlyOnce) {
       GenerateSchedule(&forests, DefaultParams(4, TreeScheduler::kOurs));
 
   std::set<uint64_t> scheduled;
-  for (const auto& blocks : schedule.task_blocks) {
-    for (const BlockRef& ref : blocks) {
-      EXPECT_TRUE(scheduled.insert(BlockRefKey(ref)).second)
+  for (const auto& units : schedule.task_units) {
+    for (const MatchTask& unit : units) {
+      EXPECT_EQ(unit.kind, MatchTask::Kind::kWhole);
+      EXPECT_TRUE(scheduled.insert(BlockRefKey(unit.ref)).second)
           << "block scheduled twice";
     }
   }
@@ -86,23 +113,6 @@ TEST(ScheduleTest, EveryLiveBlockScheduledExactlyOnce) {
   EXPECT_EQ(scheduled.size(), live);
 }
 
-TEST(ScheduleTest, SequenceValuesMatchTaskRanges) {
-  Fixture fx;
-  std::vector<AnnotatedForest> forests = fx.Annotate();
-  const ProgressiveSchedule schedule =
-      GenerateSchedule(&forests, DefaultParams(5, TreeScheduler::kOurs));
-  for (int t = 0; t < schedule.num_reduce_tasks; ++t) {
-    const auto& blocks = schedule.task_blocks[static_cast<size_t>(t)];
-    for (size_t i = 0; i < blocks.size(); ++i) {
-      const int64_t sq = schedule.SequenceOf(blocks[i].family, blocks[i].node);
-      ASSERT_GE(sq, 0);
-      EXPECT_EQ(schedule.TaskOfSequence(sq), t);
-      // Sequence order equals block-schedule order.
-      EXPECT_EQ(sq % schedule.range_per_task, static_cast<int64_t>(i));
-    }
-  }
-}
-
 TEST(ScheduleTest, TreesNeverSpanTasks) {
   Fixture fx;
   std::vector<AnnotatedForest> forests = fx.Annotate();
@@ -110,8 +120,8 @@ TEST(ScheduleTest, TreesNeverSpanTasks) {
       GenerateSchedule(&forests, DefaultParams(4, TreeScheduler::kOurs));
   std::unordered_map<uint64_t, int> task_of_block;
   for (int t = 0; t < schedule.num_reduce_tasks; ++t) {
-    for (const BlockRef& ref : schedule.task_blocks[static_cast<size_t>(t)]) {
-      task_of_block[BlockRefKey(ref)] = t;
+    for (const MatchTask& unit : schedule.task_units[static_cast<size_t>(t)]) {
+      task_of_block[BlockRefKey(unit.ref)] = t;
     }
   }
   for (const AnnotatedForest& forest : forests) {
@@ -125,26 +135,34 @@ TEST(ScheduleTest, TreesNeverSpanTasks) {
   }
 }
 
-TEST(ScheduleTest, BlockSchedulesAreBottomUp) {
-  Fixture fx;
-  std::vector<AnnotatedForest> forests = fx.Annotate();
-  const ProgressiveSchedule schedule =
-      GenerateSchedule(&forests, DefaultParams(4, TreeScheduler::kOurs));
-  for (const auto& blocks : schedule.task_blocks) {
-    std::unordered_map<uint64_t, size_t> position;
-    for (size_t i = 0; i < blocks.size(); ++i) {
-      position[BlockRefKey(blocks[i])] = i;
-    }
-    for (const BlockRef& ref : blocks) {
-      const AnnotatedForest& forest =
-          forests[static_cast<size_t>(ref.family)];
-      const AnnotatedBlock& b = forest.block(ref.node);
-      if (b.tree_root) continue;
-      const auto parent_pos =
-          position.find(BlockRefKey(ref.family, b.parent));
-      if (parent_pos == position.end()) continue;  // parent split elsewhere
-      EXPECT_LT(position.at(BlockRefKey(ref)), parent_pos->second)
-          << "child resolved after its parent";
+// Every scheduler but PairRange (which keeps its range order) resolves a
+// block's units after the units of its in-tree children on the same task.
+TEST(ScheduleTest, UnitSchedulesAreBottomUp) {
+  for (const TreeScheduler scheduler :
+       {TreeScheduler::kOurs, TreeScheduler::kNoSplit, TreeScheduler::kLpt,
+        TreeScheduler::kBlockSplit}) {
+    Fixture fx;
+    std::vector<AnnotatedForest> forests = fx.Annotate();
+    const ProgressiveSchedule schedule =
+        GenerateSchedule(&forests, DefaultParams(4, scheduler));
+    for (const auto& units : schedule.task_units) {
+      // First and last position of each block's units.
+      std::unordered_map<uint64_t, std::pair<size_t, size_t>> span;
+      for (size_t i = 0; i < units.size(); ++i) {
+        const uint64_t key = BlockRefKey(units[i].ref);
+        span.try_emplace(key, i, i).first->second.second = i;
+      }
+      for (const MatchTask& unit : units) {
+        const AnnotatedBlock& b =
+            forests[static_cast<size_t>(unit.ref.family)].block(
+                unit.ref.node);
+        if (b.tree_root) continue;
+        const auto parent = span.find(BlockRefKey(unit.ref.family, b.parent));
+        if (parent == span.end()) continue;  // parent on another task
+        EXPECT_LT(span.at(BlockRefKey(unit.ref)).second,
+                  parent->second.first)
+            << "child resolved after its parent";
+      }
     }
   }
 }
@@ -191,9 +209,8 @@ TEST(ScheduleTest, LptBalancesTotalCost) {
       GenerateSchedule(&forests, DefaultParams(r, TreeScheduler::kLpt));
   std::vector<double> load(static_cast<size_t>(r), 0.0);
   for (int t = 0; t < r; ++t) {
-    for (const BlockRef& ref : schedule.task_blocks[static_cast<size_t>(t)]) {
-      load[static_cast<size_t>(t)] +=
-          forests[static_cast<size_t>(ref.family)].block(ref.node).cost;
+    for (const MatchTask& unit : schedule.task_units[static_cast<size_t>(t)]) {
+      load[static_cast<size_t>(t)] += UnitCost(forests, unit);
     }
   }
   const double max_load = *std::max_element(load.begin(), load.end());
@@ -214,11 +231,11 @@ TEST(ScheduleTest, UtilityOrderWithinTask) {
   std::vector<AnnotatedForest> forests = fx.Annotate();
   const ProgressiveSchedule schedule =
       GenerateSchedule(&forests, DefaultParams(4, TreeScheduler::kNoSplit));
-  for (const auto& blocks : schedule.task_blocks) {
+  for (const auto& units : schedule.task_units) {
     double last_root_util = std::numeric_limits<double>::infinity();
-    for (const BlockRef& ref : blocks) {
+    for (const MatchTask& unit : units) {
       const AnnotatedBlock& b =
-          forests[static_cast<size_t>(ref.family)].block(ref.node);
+          forests[static_cast<size_t>(unit.ref.family)].block(unit.ref.node);
       if (!b.tree_root) continue;
       // A root is emitted when it is reached in utility order, and every
       // earlier-emitted root had higher-or-equal utility.
@@ -236,65 +253,61 @@ TEST(ScheduleTest, DeterministicAcrossRuns) {
       GenerateSchedule(&a, DefaultParams(6, TreeScheduler::kOurs));
   const ProgressiveSchedule sb =
       GenerateSchedule(&b, DefaultParams(6, TreeScheduler::kOurs));
-  ASSERT_EQ(sa.task_blocks.size(), sb.task_blocks.size());
-  for (size_t t = 0; t < sa.task_blocks.size(); ++t) {
-    ASSERT_EQ(sa.task_blocks[t].size(), sb.task_blocks[t].size());
-    for (size_t i = 0; i < sa.task_blocks[t].size(); ++i) {
-      EXPECT_EQ(sa.task_blocks[t][i], sb.task_blocks[t][i]);
+  ASSERT_EQ(sa.task_units.size(), sb.task_units.size());
+  for (size_t t = 0; t < sa.task_units.size(); ++t) {
+    ASSERT_EQ(sa.task_units[t].size(), sb.task_units[t].size());
+    for (size_t i = 0; i < sa.task_units[t].size(); ++i) {
+      EXPECT_TRUE(SameUnit(sa.task_units[t][i], sb.task_units[t][i]));
     }
   }
 }
 
-TEST(ScheduleTest, BudgetTruncatesSchedules) {
-  Fixture fx;
-  std::vector<AnnotatedForest> unlimited_forests = fx.Annotate();
-  const ProgressiveSchedule unlimited = GenerateSchedule(
-      &unlimited_forests, DefaultParams(4, TreeScheduler::kOurs));
-  double max_task_cost = 0.0;
-  for (const auto& blocks : unlimited.task_blocks) {
-    double cost = 0.0;
-    for (const BlockRef& ref : blocks) {
-      cost += unlimited_forests[static_cast<size_t>(ref.family)]
-                  .block(ref.node)
-                  .cost;
+// Under a budget, every scheduler's task keeps the longest prefix of its
+// unbudgeted units whose cost fits: the prefix costs no more than the
+// budget, and the next unit would exceed it.
+TEST(ScheduleTest, BudgetCutsEveryScheduleToAPrefix) {
+  for (const TreeScheduler scheduler : kAllSchedulers) {
+    SCOPED_TRACE(static_cast<int>(scheduler));
+    Fixture fx;
+    std::vector<AnnotatedForest> unlimited_forests = fx.Annotate();
+    const ProgressiveSchedule unlimited =
+        GenerateSchedule(&unlimited_forests, DefaultParams(4, scheduler));
+    double max_task_cost = 0.0;
+    size_t unlimited_units = 0;
+    for (const auto& units : unlimited.task_units) {
+      double cost = 0.0;
+      for (const MatchTask& unit : units) {
+        cost += UnitCost(unlimited_forests, unit);
+      }
+      max_task_cost = std::max(max_task_cost, cost);
+      unlimited_units += units.size();
     }
-    max_task_cost = std::max(max_task_cost, cost);
-  }
 
-  std::vector<AnnotatedForest> forests = fx.Annotate();
-  ScheduleParams params = DefaultParams(4, TreeScheduler::kOurs);
-  params.per_task_budget = max_task_cost / 4.0;
-  const ProgressiveSchedule budgeted = GenerateSchedule(&forests, params);
-  size_t unlimited_blocks = 0;
-  size_t budgeted_blocks = 0;
-  for (const auto& blocks : unlimited.task_blocks) {
-    unlimited_blocks += blocks.size();
-  }
-  for (int t = 0; t < budgeted.num_reduce_tasks; ++t) {
-    const auto& blocks = budgeted.task_blocks[static_cast<size_t>(t)];
-    budgeted_blocks += blocks.size();
-    // Estimated cost of the kept prefix respects the budget.
-    double cost = 0.0;
-    for (const BlockRef& ref : blocks) {
-      cost += forests[static_cast<size_t>(ref.family)].block(ref.node).cost;
-    }
-    EXPECT_LE(cost, params.per_task_budget + 1e-6);
-    // Bottom-up still holds after truncation (children precede parents).
-    std::unordered_map<uint64_t, size_t> position;
-    for (size_t i = 0; i < blocks.size(); ++i) {
-      position[BlockRefKey(blocks[i])] = i;
-    }
-    for (const BlockRef& ref : blocks) {
-      const AnnotatedBlock& b =
-          forests[static_cast<size_t>(ref.family)].block(ref.node);
-      if (b.tree_root) continue;
-      const auto parent = position.find(BlockRefKey(ref.family, b.parent));
-      if (parent != position.end()) {
-        EXPECT_LT(position.at(BlockRefKey(ref)), parent->second);
+    std::vector<AnnotatedForest> forests = fx.Annotate();
+    ScheduleParams params = DefaultParams(4, scheduler);
+    params.per_task_budget = max_task_cost / 4.0;
+    const ProgressiveSchedule budgeted = GenerateSchedule(&forests, params);
+    ASSERT_EQ(budgeted.task_units.size(), unlimited.task_units.size());
+    size_t budgeted_units = 0;
+    for (size_t t = 0; t < budgeted.task_units.size(); ++t) {
+      const auto& full = unlimited.task_units[t];
+      const auto& kept = budgeted.task_units[t];
+      ASSERT_LE(kept.size(), full.size());
+      budgeted_units += kept.size();
+      double cost = 0.0;
+      for (size_t i = 0; i < kept.size(); ++i) {
+        EXPECT_TRUE(SameUnit(kept[i], full[i])) << "task " << t << " #" << i;
+        cost += UnitCost(forests, kept[i]);
+      }
+      EXPECT_LE(cost, params.per_task_budget) << "task " << t;
+      if (kept.size() < full.size()) {
+        EXPECT_GT(cost + UnitCost(forests, full[kept.size()]),
+                  params.per_task_budget)
+            << "task " << t << " cut before a unit that fits";
       }
     }
+    EXPECT_LT(budgeted_units, unlimited_units);
   }
-  EXPECT_LT(budgeted_blocks, unlimited_blocks);
 }
 
 TEST(ScheduleTest, DescribeScheduleListsEveryTask) {
@@ -313,18 +326,6 @@ TEST(ScheduleTest, TotalEstimatedCostPositive) {
   Fixture fx;
   std::vector<AnnotatedForest> forests = fx.Annotate();
   EXPECT_GT(TotalEstimatedCost(forests), 0.0);
-}
-
-TEST(ScheduleTest, WindowPairCountMatchesEnumeration) {
-  for (const int64_t n : {0, 1, 2, 5, 14, 15, 16, 100}) {
-    for (const int w : {1, 2, 5, 15}) {
-      int64_t expected = 0;
-      for (int64_t d = 1; d <= std::min<int64_t>(w - 1, n - 1); ++d) {
-        expected += n - d;
-      }
-      EXPECT_EQ(WindowPairCount(n, w), expected) << "n=" << n << " w=" << w;
-    }
-  }
 }
 
 // Regression cases for the validation gap: these parameter mistakes used to
@@ -370,41 +371,43 @@ TEST(ScheduleValidationTest, AcceptsDefaultsAndLabelsGenerateErrors) {
   ScheduleParams p = DefaultParams(0, TreeScheduler::kOurs);
   const ProgressiveSchedule schedule = GenerateSchedule(&forests, p);
   EXPECT_NE(schedule.error.find("schedule:"), std::string::npos);
-  EXPECT_TRUE(schedule.task_blocks.empty());
+  EXPECT_TRUE(schedule.task_units.empty());
 }
 
-TEST(ScheduleTest, PairLevelSchedulersPopulateUnits) {
-  for (const TreeScheduler scheduler :
-       {TreeScheduler::kBlockSplit, TreeScheduler::kPairRange}) {
+// Every scheduler routes on unit sequence values: each SQ addresses,
+// through UnitOf, a unit of its own block on the task SQ / range_per_task,
+// and every unit has exactly one SQ.
+TEST(ScheduleTest, UnitSequencesAddressEveryUnitOnce) {
+  for (const TreeScheduler scheduler : kAllSchedulers) {
+    SCOPED_TRACE(static_cast<int>(scheduler));
     Fixture fx(1500);
     std::vector<AnnotatedForest> forests = fx.Annotate();
     const ProgressiveSchedule schedule =
         GenerateSchedule(&forests, DefaultParams(4, scheduler));
     ASSERT_EQ(schedule.error, "");
-    EXPECT_TRUE(schedule.pair_level);
+    EXPECT_EQ(schedule.pair_level,
+              scheduler == TreeScheduler::kBlockSplit ||
+                  scheduler == TreeScheduler::kPairRange);
     ASSERT_EQ(schedule.task_units.size(), 4u);
-    ASSERT_EQ(schedule.task_blocks.size(), 4u);
-    size_t units = 0;
-    for (size_t t = 0; t < schedule.task_units.size(); ++t) {
-      ASSERT_EQ(schedule.task_units[t].size(),
-                schedule.task_blocks[t].size());
-      for (size_t i = 0; i < schedule.task_units[t].size(); ++i) {
-        EXPECT_TRUE(schedule.task_units[t][i].ref ==
-                    schedule.task_blocks[t][i]);
-      }
-      units += schedule.task_units[t].size();
-    }
-    EXPECT_GT(units, 0u);
-    // Every unit sequence value routes back to its task and position.
+    std::set<const MatchTask*> addressed;
     for (const auto& [key, sqs] : schedule.unit_sequences) {
+      ASSERT_FALSE(sqs.empty());
+      EXPECT_TRUE(std::is_sorted(sqs.begin(), sqs.end()));
       for (const int64_t sq : sqs) {
         const auto t = static_cast<size_t>(sq / schedule.range_per_task);
         const auto i = static_cast<size_t>(sq % schedule.range_per_task);
         ASSERT_LT(t, schedule.task_units.size());
         ASSERT_LT(i, schedule.task_units[t].size());
-        EXPECT_EQ(BlockRefKey(schedule.task_units[t][i].ref), key);
+        const MatchTask& unit = schedule.UnitOf(sq);
+        EXPECT_EQ(&unit, &schedule.task_units[t][i]);
+        EXPECT_EQ(BlockRefKey(unit.ref), key);
+        EXPECT_TRUE(addressed.insert(&unit).second) << "unit has two SQs";
       }
     }
+    size_t units = 0;
+    for (const auto& task : schedule.task_units) units += task.size();
+    EXPECT_GT(units, 0u);
+    EXPECT_EQ(addressed.size(), units) << "unit without an SQ";
   }
 }
 

@@ -6,7 +6,8 @@
 //     attempt span of the same task on the same lane;
 //   * span and instant counts reconcile exactly with the "mr." counters the
 //     runtime reports (attempts, machine_lost, checkpoint.saved/restored,
-//     speculative_launched, machines_dead, blacklist.machines);
+//     speculative_launched, machines_dead, blacklist.machines,
+//     spill.runs/merge_passes);
 //   * alpha-emission events are monotone per task in both time and
 //     cumulative pair count;
 // and — checked differentially here and against the frozen fixture in
@@ -105,6 +106,8 @@ struct SpanTally {
   int64_t speculative = 0;
   int64_t saves = 0;
   int64_t restores = 0;
+  int64_t spill_writes = 0;
+  int64_t spill_merges = 0;
   double backoff = 0.0;
 };
 
@@ -131,9 +134,13 @@ SpanTally TallySpans(const std::vector<TraceSpan>& spans) {
       case SpanKind::kRetryBackoff:
         tally.backoff += span.end - span.start;
         break;
-      case SpanKind::kShuffle:
       case SpanKind::kSpillWrite:
+        ++tally.spill_writes;
+        break;
       case SpanKind::kSpillMerge:
+        ++tally.spill_merges;
+        break;
+      case SpanKind::kShuffle:
       case SpanKind::kSpillRetry:
       case SpanKind::kRunCorrupt:
       case SpanKind::kRestartRestore:
@@ -156,6 +163,8 @@ void CheckCounterReconciliation(const TraceRecorder& recorder,
   EXPECT_EQ(tally.speculative, counters.Get("mr.speculative_launched"));
   EXPECT_EQ(tally.saves, counters.Get("mr.checkpoint.saved"));
   EXPECT_EQ(tally.restores, counters.Get("mr.checkpoint.restored"));
+  EXPECT_EQ(tally.spill_writes, counters.Get("mr.spill.runs"));
+  EXPECT_EQ(tally.spill_merges, counters.Get("mr.spill.merge_passes"));
   int64_t deaths = 0;
   int64_t blacklists = 0;
   for (const TraceInstant& instant : recorder.instants()) {
@@ -197,8 +206,10 @@ using Job = MapReduceJob<int, int, int>;
 
 Job::Result RunToyJob(const ClusterConfig& cluster, CheckpointStore* store,
                       double alpha) {
+  // Over one 4 KiB block per map task, so the forced-spill variant traces
+  // real spill writes and merges.
   std::vector<int> input;
-  for (int i = 0; i < 263; ++i) input.push_back(i * 37 % 101);
+  for (int i = 0; i < 20000; ++i) input.push_back(i * 37 % 101);
   Job job(kMapTasks, kReduceTasks);
   job.set_map_cost_per_record(0.5);
   job.set_partitioner([](const int& key, int r) { return key % r; });
@@ -283,6 +294,9 @@ TEST_P(TraceInvariantTest, RandomizedRunSatisfiesSpanInvariants) {
       RunToyJob(config.cluster,
                 config.checkpoint ? &plain_store : nullptr, alpha);
   ASSERT_FALSE(plain.failed) << plain.error;
+  if (testing_util::ForcedSpillOverlayActive()) {
+    EXPECT_GT(plain.counters.Get("mr.spill.runs"), 0);
+  }
 
   TraceRecorder recorder;
   ClusterConfig traced_cluster = config.cluster;
@@ -353,8 +367,7 @@ TEST(TraceErDriverTest, FaultInjectedRunShowsKillsDeathsAndEmissions) {
   const ErRunResult clean = clean_er.Run(w.data.dataset);
   ASSERT_FALSE(clean.failed) << clean.error;
   // The forced-spill variant of this suite traces spill marks only if this
-  // ER cluster really spills under it. (The randomized configs' toy job
-  // emits less than one 4 KiB block per map task, so it never spills.)
+  // ER cluster really spills under it.
   if (testing_util::ForcedSpillOverlayActive()) {
     EXPECT_GT(clean.counters.Get("mr.spill.runs"), 0);
   }

@@ -82,6 +82,25 @@ if(NOT err MATCHES "invalid checkpoint config")
 endif()
 message(STATUS "--resume without --checkpoint-dir rejected: ${err}")
 
+# A non-positive or non-numeric --alpha is a config error: result chunks
+# close every alpha cost units, so alpha <= 0 would never close one.
+foreach(bad_alpha 0 abc)
+  execute_process(COMMAND ${CLI} resolve --data=${WORK}/data.tsv
+                  --train=${WORK}/train.tsv
+                  --train-truth=${WORK}/train_truth.tsv --machines=4
+                  --out=${WORK}/pairs_reject.tsv --alpha=${bad_alpha}
+                  RESULT_VARIABLE code OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT code EQUAL 1)
+    message(FATAL_ERROR
+            "--alpha=${bad_alpha} not rejected with exit 1 (${code}): "
+            "${out}${err}")
+  endif()
+  if(NOT err MATCHES "invalid alpha config")
+    message(FATAL_ERROR "--alpha=${bad_alpha} error not labelled: ${err}")
+  endif()
+  message(STATUS "--alpha=${bad_alpha} rejected: ${err}")
+endforeach()
+
 # Disk-fault flags smoke: the storage-fault flags and a fallback dir must
 # leave the resolved pairs byte-identical to the fault-free run. No
 # --shuffle-max-mem value makes a resolve this small spill (each map task

@@ -413,6 +413,21 @@ int CmdResolve(const std::map<std::string, std::string>& flags) {
                  "--crash-after-checkpoints require --checkpoint-dir\n");
     return 1;
   }
+  // --alpha (progressive resolve only) must parse as a number > 0: result
+  // chunks close every alpha cost units.
+  double alpha = ProgressiveErOptions().alpha;
+  if (flags.count("alpha")) {
+    const std::string& text = flags.at("alpha");
+    char* end = nullptr;
+    alpha = std::strtod(text.c_str(), &end);
+    if (text.empty() || *end != '\0' || !(alpha > 0.0)) {
+      std::fprintf(stderr,
+                   "invalid alpha config: --alpha must be a number > 0 "
+                   "(got %s)\n",
+                   text.c_str());
+      return 1;
+    }
+  }
   const std::string trace_out = GetFlag(flags, "trace-out", "");
   const std::string trace_timeline = GetFlag(flags, "trace-timeline", "");
   if (!trace_out.empty() && !ProbeWritable(trace_out)) {
@@ -464,9 +479,7 @@ int CmdResolve(const std::map<std::string, std::string>& flags) {
     ProgressiveErOptions options;
     options.cluster = cluster;
     options.checkpoint_recovery = flags.count("checkpoint-recovery") > 0;
-    if (flags.count("alpha")) {
-      options.alpha = std::atof(flags.at("alpha").c_str());
-    }
+    options.alpha = alpha;
     options.checkpoint_dir = checkpoint_dir;
     options.resume = flags.count("resume") > 0;
     options.crash_after_checkpoints =
