@@ -53,8 +53,15 @@ class BlockingConfig {
     return families_[static_cast<size_t>(f)];
   }
 
-  // Blocking key of `e` under family `f` at `level` (1-based): the
-  // lower-cased prefix of the family's attribute.
+  // Appends the blocking key of `e` under family `f` at `level` (1-based),
+  // the lower-cased prefix of the family's attribute, to `*out`. A caller
+  // walking `e`'s block chain extends one path buffer level by level:
+  // kPathSeparator (from level 2 on), then AppendKey, gives the level's
+  // Path without allocating a new string per level.
+  void AppendKey(int f, int level, const Entity& e, std::string* out) const;
+
+  // Blocking key of `e` under family `f` at `level`: AppendKey into an empty
+  // string.
   std::string Key(int f, int level, const Entity& e) const;
 
   // Hierarchical path of `e`'s block in family `f` at `level`: keys of levels

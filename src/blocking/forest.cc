@@ -35,7 +35,7 @@ std::vector<Forest> BuildForests(const Dataset& dataset,
       int parent = -1;
       for (int level = 1; level <= levels; ++level) {
         if (level > 1) path.push_back(kPathSeparator);
-        path += config.Key(f, level, e);
+        config.AppendKey(f, level, e, &path);
         auto [it, inserted] = forest.by_path.try_emplace(
             path, static_cast<int>(forest.nodes.size()));
         if (inserted) {
@@ -128,7 +128,7 @@ void ComputeUncoveredPairs(const Dataset& dataset, const BlockingConfig& config,
       std::string path;
       for (int level = 1; level <= levels; ++level) {
         if (level > 1) path.push_back(kPathSeparator);
-        path += config.Key(f, level, e);
+        config.AppendKey(f, level, e, &path);
         const int node_index = forest.Find(path);
         ++joint[static_cast<size_t>(node_index)][tuple];
       }

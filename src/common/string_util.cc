@@ -6,12 +6,13 @@ std::string_view Prefix(std::string_view s, size_t n) {
   return s.substr(0, std::min(n, s.size()));
 }
 
-std::string ToLowerAscii(std::string_view s) {
-  std::string out(s);
-  for (char& c : out) {
+void AppendLowerAscii(std::string_view s, std::string* out) {
+  const size_t start = out->size();
+  out->append(s);
+  for (size_t i = start; i < out->size(); ++i) {
+    char& c = (*out)[i];
     if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
   }
-  return out;
 }
 
 std::vector<std::string_view> Split(std::string_view s, char delim) {

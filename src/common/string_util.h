@@ -12,8 +12,9 @@ namespace progres {
 // (Table II: e.g. title.sub(0, 3)).
 std::string_view Prefix(std::string_view s, size_t n);
 
-// Returns a copy of `s` with ASCII letters lower-cased.
-std::string ToLowerAscii(std::string_view s);
+// Appends `s` to `*out` with ASCII letters lower-cased; other bytes are
+// copied unchanged.
+void AppendLowerAscii(std::string_view s, std::string* out);
 
 // Splits `s` on `delim` without trimming; empty fields are preserved.
 std::vector<std::string_view> Split(std::string_view s, char delim);

@@ -371,13 +371,19 @@ ErRunResult ProgressiveEr::Run(const Dataset& dataset) const {
     job.set_poison_faults(true);
 
     const auto map_fn = [&, this](const Entity& e, Job::MapContext* ctx) {
+      // e's block path in the family being walked, extended one level at a
+      // time; one buffer per thread, so no block lookup allocates.
+      thread_local std::string path;
       for (int f = 0; f < num_families; ++f) {
         const AnnotatedForest& forest = forests[static_cast<size_t>(f)];
         const int levels = blocking_.family(f).levels();
         int previous_node = -1;
         int previous_tree = -1;
+        path.clear();
         for (int level = 1; level <= levels; ++level) {
-          const int node = forest.Find(blocking_.Path(f, level, e));
+          if (level > 1) path.push_back(kPathSeparator);
+          blocking_.AppendKey(f, level, e, &path);
+          const int node = forest.Find(path);
           if (node < 0) break;  // chain eliminated from here down
           if (node == previous_node) continue;  // equal-size collapse redirect
           previous_node = node;
@@ -508,6 +514,7 @@ ErRunResult ProgressiveEr::Run(const Dataset& dataset) const {
       ResolveTaskState& state = states.at(ctx->task_id());
       const auto& units =
           schedule.task_units[static_cast<size_t>(ctx->task_id())];
+      std::string path;  // a member's path, reused across members and units
       while (state.next_unit < units.size() && state.next_unit <= last) {
         const MatchTask& unit = units[state.next_unit++];
         const AnnotatedBlock& block =
@@ -522,10 +529,12 @@ ErRunResult ProgressiveEr::Run(const Dataset& dataset) const {
         for (const ResolveValue& value : buffered->second) {
           ctx->clock().Charge(kRegroupCostPerEntity);
           const Entity& e = dataset.entity(value.id);
-          if (blocking_.Path(unit.ref.family, block.id.level, e) !=
-              block.id.path) {
-            continue;
+          path.clear();
+          for (int level = 1; level <= block.id.level; ++level) {
+            if (level > 1) path.push_back(kPathSeparator);
+            blocking_.AppendKey(unit.ref.family, level, e, &path);
           }
+          if (path != block.id.path) continue;
           members.push_back(&e);
           lists.emplace(value.id, &value.list);
         }

@@ -95,6 +95,9 @@ StatsJobOutput RunStatisticsJob(const Dataset& dataset,
     sinks.Install(&job);
 
     const auto map_fn = [&config](const Entity& e, Job::MapContext* ctx) {
+      // Each (family, level) key is built once: family f's tuple is the
+      // dominating families' root keys, grown by one family per step.
+      std::string tuple;
       for (int f = 0; f < config.num_families(); ++f) {
         StatsValue value;
         const int levels = config.family(f).levels();
@@ -102,10 +105,9 @@ StatsJobOutput RunStatisticsJob(const Dataset& dataset,
         for (int level = 1; level <= levels; ++level) {
           value.level_keys.push_back(config.Key(f, level, e));
         }
-        for (int d = 0; d < f; ++d) {
-          if (d > 0) value.tuple.push_back(kTupleSeparator);
-          value.tuple += config.Key(d, 1, e);
-        }
+        value.tuple = tuple;
+        if (f > 0) tuple.push_back(kTupleSeparator);
+        tuple += value.level_keys.front();
         std::string key;
         key.push_back(static_cast<char>('0' + f));
         key.push_back(kPathSeparator);

@@ -15,8 +15,7 @@ AnnotatedForest::AnnotatedForest(const Forest& forest,
     : family_(forest.family),
       dataset_size_(dataset_size),
       params_(params),
-      prob_(&prob),
-      by_path_(forest.by_path) {
+      prob_(&prob) {
   blocks_.reserve(forest.nodes.size());
   for (const BlockNode& node : forest.nodes) {
     AnnotatedBlock b;
@@ -33,6 +32,16 @@ AnnotatedForest::AnnotatedForest(const Forest& forest,
   }
   EliminateSmallBlocks();
   CollapseEqualSizeChains();
+  // Index each path by the live block it resolves to, following equal-size
+  // redirects once here; paths of eliminated blocks without a survivor
+  // (most of the deepest level) stay out of the table.
+  for (const auto& [path, index] : forest.by_path) {
+    int n = index;
+    while (n >= 0 && blocks_[static_cast<size_t>(n)].eliminated) {
+      n = blocks_[static_cast<size_t>(n)].redirect;
+    }
+    if (n >= 0) by_path_.emplace(path, n);
+  }
   for (int r : tree_roots_) ReestimateTree(r);
 }
 
@@ -127,54 +136,42 @@ void AnnotatedForest::SplitSubtree(int node) {
   const int old_root = FindTreeRoot(node);
   b.tree_root = true;
   tree_roots_.push_back(node);
+  // A block's estimates read only its own fields and its in-tree children's
+  // estimates and aggregates. The split changes those inputs for `node` (now
+  // a root) and for each ancestor up to the old root (Cov below, one in-tree
+  // child fewer) and for no other block, so re-estimating that path
+  // bottom-up leaves every block as a whole-tree pass would.
+  EstimateBlock(node);
   // The split tree now resolves the subtree's covered pairs; remove them
   // from every ancestor up to the old root (Sec. IV-C2 decreases Cov of the
-  // enclosing root).
+  // enclosing root), re-estimating each after its child on the path.
   const int64_t moved_cov = b.cov;
   for (int a = b.parent;; a = blocks_[static_cast<size_t>(a)].parent) {
     AnnotatedBlock& ab = blocks_[static_cast<size_t>(a)];
     ab.cov = std::max<int64_t>(0, ab.cov - moved_cov);
+    EstimateBlock(a);
     if (a == old_root) break;
   }
-  ReestimateTree(node);
-  ReestimateTree(old_root);
 }
 
 void AnnotatedForest::ReestimateTree(int root) {
-  const std::vector<int> order = TreeBlocks(root);
-  // Aggregates over in-tree descendants, filled bottom-up.
-  std::unordered_map<int, double> desc_dis;
-  std::unordered_map<int, double> desc_costp;
-  for (int n : order) {
-    const AnnotatedBlock& b = blocks_[static_cast<size_t>(n)];
-    double sum_child_frac_d = 0.0;
-    double sum_desc_dis = 0.0;
-    double sum_desc_costp = 0.0;
-    for (int c : b.children) {
-      const AnnotatedBlock& cb = blocks_[static_cast<size_t>(c)];
-      if (cb.eliminated || cb.tree_root) continue;
-      sum_child_frac_d += cb.frac * cb.d_value;
-      sum_desc_dis += cb.dis + desc_dis[c];
-      sum_desc_costp += CostP(cb.dup, cb.dis, params_.costs) + desc_costp[c];
-    }
-    desc_dis[n] = sum_desc_dis;
-    desc_costp[n] = sum_desc_costp;
-    EstimateBlock(n, sum_child_frac_d, sum_desc_dis, sum_desc_costp);
-  }
+  for (const int n : TreeBlocks(root)) EstimateBlock(n);
 }
 
-void AnnotatedForest::EstimateBlock(int n, double sum_child_frac_d,
-                                    double sum_desc_dis,
-                                    double sum_desc_costp) {
+void AnnotatedForest::EstimateBlock(int n) {
   AnnotatedBlock& b = blocks_[static_cast<size_t>(n)];
   const bool root = b.tree_root;
   bool leaf = true;
+  double sum_child_frac_d = 0.0;
+  b.desc_dis = 0.0;
+  b.desc_costp = 0.0;
   for (int c : b.children) {
     const AnnotatedBlock& cb = blocks_[static_cast<size_t>(c)];
-    if (!cb.eliminated && !cb.tree_root) {
-      leaf = false;
-      break;
-    }
+    if (cb.eliminated || cb.tree_root) continue;
+    leaf = false;
+    sum_child_frac_d += cb.frac * cb.d_value;
+    b.desc_dis += cb.dis + cb.desc_dis;
+    b.desc_costp += CostP(cb.dup, cb.dis, params_.costs) + cb.desc_costp;
   }
 
   b.window = root ? params_.window_root
@@ -195,14 +192,14 @@ void AnnotatedForest::EstimateBlock(int n, double sum_child_frac_d,
   b.dup = std::max(0.0, b.frac * b.d_value - sum_child_frac_d);
   // Eq. 4.
   b.remain =
-      std::max(0.0, static_cast<double>(b.cov) - b.d_value - sum_desc_dis);
+      std::max(0.0, static_cast<double>(b.cov) - b.d_value - b.desc_dis);
   b.dis = root ? b.remain : std::min(static_cast<double>(b.th), b.remain);
 
   const double cost_a = CostA(b.size, params_.costs);
   if (root) {
     // Eq. 5.
     b.cost = cost_a + CostF(b.size, b.window, b.cov, params_.costs) -
-             sum_desc_costp;
+             b.desc_costp;
   } else {
     // Eq. 3.
     b.cost = cost_a + CostP(b.dup, b.dis, params_.costs);
@@ -213,14 +210,7 @@ void AnnotatedForest::EstimateBlock(int n, double sum_child_frac_d,
 
 int AnnotatedForest::Find(const std::string& path) const {
   const auto it = by_path_.find(path);
-  if (it == by_path_.end()) return -1;
-  int n = it->second;
-  while (blocks_[static_cast<size_t>(n)].eliminated) {
-    const int redirect = blocks_[static_cast<size_t>(n)].redirect;
-    if (redirect < 0) return -1;
-    n = redirect;
-  }
-  return n;
+  return it == by_path_.end() ? -1 : it->second;
 }
 
 std::vector<AnnotatedForest> AnnotateForests(const std::vector<Forest>& forests,

@@ -65,6 +65,13 @@ struct AnnotatedBlock {
   double cost = 0.0;     // Cost(X), Eq. 3 or Eq. 5
   double util = 0.0;     // Util(X) = Dup / Cost
 
+  // Aggregates over the block's in-tree descendants (children and below,
+  // stopping at split-off tree roots): the sum of their Dis, which Eq. 4
+  // subtracts, and of their CostP, which Eq. 5 subtracts. Stored so that a
+  // parent's estimate reads its children's and never revisits deeper blocks.
+  double desc_dis = 0.0;
+  double desc_costp = 0.0;
+
   bool is_leaf() const { return children.empty(); }
 };
 
@@ -100,11 +107,15 @@ class AnnotatedForest {
   int FindTreeRoot(int node) const;
 
   // Splits the subtree rooted at `node` into its own tree (Sec. IV-C2):
-  // `node` becomes a fully-resolved root, its covered pairs leave every
-  // ancestor, and both affected trees are re-estimated bottom-up.
+  // `node` becomes a fully-resolved root and its covered pairs leave every
+  // ancestor up to the old tree's root. Only `node` and those ancestors are
+  // re-estimated, bottom-up: no other block's inputs change, so every block
+  // ends as ReestimateTree of its tree would leave it.
   void SplitSubtree(int node);
 
-  // Recomputes the estimates of the tree rooted at `root`, bottom-up.
+  // Recomputes the estimates and aggregates of every block of the tree
+  // rooted at `root`, bottom-up. The constructor runs it once per tree;
+  // tests use it as the reference for SplitSubtree's path-only update.
   void ReestimateTree(int root);
 
   // Node index for a block path, or -1. Eliminated blocks resolve to the
@@ -116,8 +127,9 @@ class AnnotatedForest {
  private:
   void EliminateSmallBlocks();
   void CollapseEqualSizeChains();
-  void EstimateBlock(int n, double sum_child_frac_d, double sum_desc_dis,
-                     double sum_desc_costp);
+  // Estimates block `n` from its own fields and its in-tree children's
+  // estimates and aggregates (Eqs. 2-5), and stores its aggregates.
+  void EstimateBlock(int n);
 
   int family_ = 0;
   int64_t dataset_size_ = 0;
@@ -125,6 +137,8 @@ class AnnotatedForest {
   const ProbabilityModel* prob_ = nullptr;
   std::vector<AnnotatedBlock> blocks_;
   std::vector<int> tree_roots_;
+  // Block path -> the live block it resolves to (itself, or the survivor
+  // of its equal-size collapse). Paths without a live block are absent.
   std::unordered_map<std::string, int> by_path_;
 };
 

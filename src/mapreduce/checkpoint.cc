@@ -293,7 +293,7 @@ bool CheckpointStore::LoadPersisted(int t, TaskCheckpoint* checkpoint) {
   for (uint64_t i = 0; reader.ok && i < num_counters; ++i) {
     const std::string_view name = reader.Blob();
     const int64_t value = static_cast<int64_t>(reader.U64());
-    if (reader.ok) checkpoint->counters.Increment(std::string(name), value);
+    if (reader.ok) checkpoint->counters.Increment(name, value);
   }
   checkpoint->encoded_outputs = std::string(reader.Blob());
   const std::string_view state = reader.Blob();

@@ -2,8 +2,10 @@
 #define PROGRES_MAPREDUCE_COUNTERS_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 
 namespace progres {
 
@@ -75,13 +77,22 @@ namespace progres {
 // job's non-"mr." counters are byte-identical to a fault-free run.
 class Counters {
  public:
-  // Adds `delta` to counter `name`, creating it at zero if absent.
-  void Increment(const std::string& name, int64_t delta = 1) {
-    values_[name] += delta;
+  // Ordered by name; std::less<> lets a string_view look a name up without
+  // building a std::string.
+  using Map = std::map<std::string, int64_t, std::less<>>;
+
+  // Adds `delta` to counter `name`, creating it at zero if absent. Only a
+  // name seen for the first time is copied.
+  void Increment(std::string_view name, int64_t delta = 1) {
+    auto it = values_.lower_bound(name);
+    if (it == values_.end() || it->first != name) {
+      it = values_.emplace_hint(it, name, 0);
+    }
+    it->second += delta;
   }
 
   // Current value of `name` (0 if never incremented).
-  int64_t Get(const std::string& name) const {
+  int64_t Get(std::string_view name) const {
     const auto it = values_.find(name);
     return it == values_.end() ? 0 : it->second;
   }
@@ -91,11 +102,11 @@ class Counters {
     for (const auto& [name, value] : other.values_) values_[name] += value;
   }
 
-  // All counters, sorted by name (std::map keeps them ordered).
-  const std::map<std::string, int64_t>& values() const { return values_; }
+  // All counters, sorted by name.
+  const Map& values() const { return values_; }
 
  private:
-  std::map<std::string, int64_t> values_;
+  Map values_;
 };
 
 }  // namespace progres

@@ -45,7 +45,8 @@ int VarintSize(uint64_t value);
 // CRC-32 (IEEE, reflected polynomial 0xEDB88320 — the zlib/Hadoop checksum)
 // of `data`, continuing from `crc` so multi-buffer streams can chain calls.
 // Crc32("123456789") == 0xCBF43926. The shuffle checksums each map-output
-// partition with this before the "wire" transfer.
+// partition with this before the "wire" transfer. Computed slicing-by-8
+// (eight table lookups per eight input bytes, bytewise for the tail).
 uint32_t Crc32(std::string_view data, uint32_t crc = 0);
 
 // FNV-1a over `data`, continuing from `hash` for multi-buffer streams. The

@@ -1,5 +1,7 @@
 #include "redundancy/dominance.h"
 
+#include <string>
+
 namespace progres {
 
 DominanceList BuildDominanceList(const Entity& e, int family, int node,
@@ -9,6 +11,8 @@ DominanceList BuildDominanceList(const Entity& e, int family, int node,
   DominanceList list;
   const int n = config.num_families();
   list.values.reserve(static_cast<size_t>(n) + 1);
+  // One path buffer per thread, reused across calls: no lookup allocates.
+  thread_local std::string path;
 
   for (int j = 0; j < n; ++j) {
     if (j == family) {
@@ -18,7 +22,8 @@ DominanceList BuildDominanceList(const Entity& e, int family, int node,
       list.values.push_back(schedule.dominance.at(BlockRefKey(j, root)));
     } else {
       // Dom(T(Y^1_h)) for the main block of family j containing e.
-      const std::string path = config.Path(j, 1, e);
+      path.clear();
+      config.AppendKey(j, 1, e, &path);
       const int main_node = forests[static_cast<size_t>(j)].Find(path);
       if (main_node < 0) {
         // The main block was eliminated (fewer than two entities): no other
@@ -37,11 +42,15 @@ DominanceList BuildDominanceList(const Entity& e, int family, int node,
   // two entities share it, their pair belongs to that split tree, not to the
   // emitted block.
   const AnnotatedForest& forest = forests[static_cast<size_t>(family)];
-  const int block_level = forest.block(node).id.level;
+  // e belongs to the emitted block, so the block's path is e's path at the
+  // block's level; the walk extends it one level at a time.
+  const BlockId& block = forest.block(node).id;
+  path = block.path;
   const int levels = config.family(family).levels();
-  for (int level = block_level + 1; level <= levels; ++level) {
-    const int descendant =
-        forest.Find(config.Path(family, level, e));
+  for (int level = block.level + 1; level <= levels; ++level) {
+    path.push_back(kPathSeparator);
+    config.AppendKey(family, level, e, &path);
+    const int descendant = forest.Find(path);
     if (descendant < 0) break;  // e's chain ends here (eliminated below)
     if (descendant == node) continue;  // redirect landed on the block itself
     if (forest.block(descendant).tree_root) {

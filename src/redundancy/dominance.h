@@ -21,9 +21,11 @@ struct DominanceList {
 };
 
 // Builds List(e, block) for entity `e` emitted toward block `node` of family
-// `family`. Entities whose main block in some family was eliminated (size
-// < 2) get a unique per-entity sentinel there, which can never equal another
-// entity's value (a singleton block cannot witness a shared pair).
+// `family`; `node` must be a live block containing `e`, since the walk to
+// its descendants starts from the block's own path. Entities whose main
+// block in some family was eliminated (size < 2) get a unique per-entity
+// sentinel there, which can never equal another entity's value (a singleton
+// block cannot witness a shared pair).
 DominanceList BuildDominanceList(const Entity& e, int family, int node,
                                  const BlockingConfig& config,
                                  const std::vector<AnnotatedForest>& forests,

@@ -1,4 +1,7 @@
+#include <algorithm>
+#include <string>
 #include <unordered_map>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -17,10 +20,12 @@ struct Fixture {
   ProbabilityModel prob;
   EstimateParams params;
 
-  explicit Fixture(int64_t n = 3000, uint64_t seed = 31) {
+  explicit Fixture(int64_t n = 3000, uint64_t seed = 31,
+                   double mega_block_fraction = 0.0) {
     PublicationConfig gen;
     gen.num_entities = n;
     gen.seed = seed;
+    gen.mega_block_fraction = mega_block_fraction;
     data = GeneratePublications(gen);
     config = BlockingConfig({{"X", kPubTitle, {2, 4, 8}, -1},
                              {"Y", kPubAbstract, {3, 5}, -1},
@@ -73,6 +78,35 @@ TEST(AnnotatedForestTest, EliminatedParentsRedirectToSurvivor) {
       ASSERT_GE(found, 0);
       EXPECT_FALSE(forest.block(found).eliminated);
     }
+  }
+}
+
+TEST(AnnotatedForestTest, FindResolvesEveryPathToItsLiveBlock) {
+  // Reference: follow the equal-size redirects from the path's own block;
+  // a chain that ends on an eliminated block without a survivor is -1.
+  Fixture fx;
+  const std::vector<AnnotatedForest> annotated = fx.Annotate();
+  for (size_t f = 0; f < fx.forests.size(); ++f) {
+    const AnnotatedForest& forest = annotated[f];
+    int live = 0;
+    int dropped = 0;
+    for (size_t i = 0; i < fx.forests[f].nodes.size(); ++i) {
+      int expected = static_cast<int>(i);
+      while (expected >= 0 && forest.block(expected).eliminated) {
+        expected = forest.block(expected).redirect;
+      }
+      const std::string& path = fx.forests[f].nodes[i].id.path;
+      ASSERT_EQ(forest.Find(path), expected) << "family " << f << " " << path;
+      if (expected >= 0) {
+        ++live;
+      } else {
+        ++dropped;
+      }
+    }
+    EXPECT_GT(live, 0);
+    EXPECT_GT(dropped, 0);
+    EXPECT_EQ(forest.Find(std::string("no such") + kPathSeparator + "path"),
+              -1);
   }
 }
 
@@ -205,6 +239,97 @@ TEST(AnnotatedForestTest, SplitIsIdempotent) {
   const size_t roots = forest.tree_roots().size();
   forest.SplitSubtree(child);  // no-op
   EXPECT_EQ(forest.tree_roots().size(), roots);
+}
+
+// SplitTree's visiting order: in-tree children by non-increasing utility,
+// ties by index.
+std::vector<int> SplitOrder(const AnnotatedForest& forest, int node) {
+  std::vector<int> children;
+  for (const int c : forest.block(node).children) {
+    const AnnotatedBlock& cb = forest.block(c);
+    if (!cb.eliminated && !cb.tree_root) children.push_back(c);
+  }
+  std::sort(children.begin(), children.end(), [&](int a, int b) {
+    const double ua = forest.block(a).util;
+    const double ub = forest.block(b).util;
+    if (ua != ub) return ua > ub;
+    return a < b;
+  });
+  return children;
+}
+
+// Splits `node` in `forest` (whose re-estimation is path-only) and in
+// `reference`, re-estimates every tree of `reference` whole with
+// ReestimateTree, and expects every live block to agree bit for bit.
+void SplitAndCompare(AnnotatedForest* forest, AnnotatedForest* reference,
+                     int node) {
+  forest->SplitSubtree(node);
+  reference->SplitSubtree(node);
+  for (const int root : reference->tree_roots()) {
+    reference->ReestimateTree(root);
+  }
+  for (int n = 0; n < forest->num_blocks(); ++n) {
+    const AnnotatedBlock& got = forest->block(n);
+    if (got.eliminated) continue;
+    const AnnotatedBlock& want = reference->block(n);
+    EXPECT_EQ(got.window, want.window);
+    EXPECT_EQ(got.th, want.th);
+    EXPECT_EQ(got.frac, want.frac);
+    EXPECT_EQ(got.d_value, want.d_value);
+    EXPECT_EQ(got.dup, want.dup);
+    EXPECT_EQ(got.remain, want.remain);
+    EXPECT_EQ(got.dis, want.dis);
+    EXPECT_EQ(got.cost, want.cost);
+    EXPECT_EQ(got.util, want.util);
+    EXPECT_EQ(got.desc_dis, want.desc_dis);
+    EXPECT_EQ(got.desc_costp, want.desc_costp);
+    if (::testing::Test::HasFailure()) {
+      ADD_FAILURE() << "family " << forest->family() << ", block " << n
+                    << " (" << got.id.path << "), after splitting block "
+                    << node;
+      return;
+    }
+  }
+}
+
+// Splits every non-root block of every tree, each tree's children in
+// SplitTree's order. A child's own children are split first, while the
+// child is still in the tree, so those splits re-estimate an intermediate
+// ancestor as well as the old root.
+void ExpectPathOnlySplitsMatchWholeTrees(Fixture& fx) {
+  for (AnnotatedForest& forest : fx.Annotate()) {
+    AnnotatedForest reference = forest;
+    int splits = 0;
+    int deep_splits = 0;
+    // tree_roots() grows with every split, so walk it by index.
+    for (size_t i = 0; i < forest.tree_roots().size(); ++i) {
+      const int root = forest.tree_roots()[i];
+      for (const int child : SplitOrder(forest, root)) {
+        for (const int grandchild : SplitOrder(forest, child)) {
+          SplitAndCompare(&forest, &reference, grandchild);
+          if (::testing::Test::HasFailure()) return;
+          ++deep_splits;
+        }
+        SplitAndCompare(&forest, &reference, child);
+        if (::testing::Test::HasFailure()) return;
+        ++splits;
+      }
+    }
+    EXPECT_GT(splits, 0) << "family " << forest.family();
+    if (forest.family() == 0) {
+      EXPECT_GT(deep_splits, 0);
+    }
+  }
+}
+
+TEST(AnnotatedForestTest, PathOnlySplitMatchesWholeTreeReestimation) {
+  Fixture fx(/*n=*/1500, /*seed=*/31);
+  ExpectPathOnlySplitsMatchWholeTrees(fx);
+}
+
+TEST(AnnotatedForestTest, PathOnlySplitMatchesWholeTreeReestimationOnMega) {
+  Fixture fx(/*n=*/1500, /*seed=*/31, /*mega_block_fraction=*/0.3);
+  ExpectPathOnlySplitsMatchWholeTrees(fx);
 }
 
 TEST(AnnotatedForestTest, DupOnPairsOptionChangesDValue) {

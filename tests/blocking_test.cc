@@ -1,3 +1,7 @@
+#include <algorithm>
+#include <string>
+#include <string_view>
+
 #include <gtest/gtest.h>
 
 #include "blocking/blocking_function.h"
@@ -38,6 +42,70 @@ TEST(BlockingFunctionTest, PathJoinsLevels) {
   const std::string expected =
       std::string("jo") + kPathSeparator + "john";
   EXPECT_EQ(config.Path(0, 2, e), expected);
+}
+
+// Independent reference for a blocking key: the attribute's first `len`
+// bytes with A-Z lowered and every other byte kept.
+std::string ReferenceKey(std::string_view value, size_t len) {
+  std::string key(value.substr(0, std::min(len, value.size())));
+  for (char& c : key) {
+    if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
+  }
+  return key;
+}
+
+// The resolution map, the dominance lists and the per-tree regroup walk an
+// entity's block chain by extending one reused buffer level by level
+// (kPathSeparator from level 2 on, then AppendKey). Path is the reference
+// for where each step must land.
+TEST(BlockWalkTest, ReusedBufferWalkReachesPathNodes) {
+  PublicationConfig gen;
+  gen.num_entities = 1500;
+  gen.seed = 12;
+  Dataset dataset = GeneratePublications(gen).dataset;
+  // An empty attribute, attributes shorter than their prefixes, upper-case
+  // letters, bytes >= 0x80, and a missing (never stored) venue.
+  dataset.Add({"", "ab", "VLDB Journal"});
+  dataset.Add({"X", "", "\xc3\x89tude"});
+  dataset.Add({"THE Quick Brown Fox", "ABSTRACT\xff\xfe text", "Ab"});
+  dataset.Add({"the quick brown fox", "abstract\xff\xfe TEXT", "ab"});
+  dataset.Add({"\xe6\x97\xa5\xe6\x9c\xac Title", "Short"});
+  const BlockingConfig config({{"X", kPubTitle, {2, 4, 8}, -1},
+                               {"Y", kPubAbstract, {3, 5}, -1},
+                               {"Z", kPubVenue, {3, 5}, -1}});
+  const std::vector<Forest> forests =
+      BuildForests(dataset, config, /*keep_members=*/false);
+
+  std::string path;  // reused across entities and families, as the map does
+  for (const Entity& e : dataset.entities()) {
+    for (int f = 0; f < config.num_families(); ++f) {
+      const FamilySpec& spec = config.family(f);
+      const Forest& forest = forests[static_cast<size_t>(f)];
+      path.clear();
+      for (int level = 1; level <= spec.levels(); ++level) {
+        const std::string_view attribute =
+            e.attribute(static_cast<size_t>(spec.attribute_index));
+        const size_t len = static_cast<size_t>(
+            spec.prefix_lens[static_cast<size_t>(level - 1)]);
+        const std::string key = config.Key(f, level, e);
+        ASSERT_EQ(key, ReferenceKey(attribute, len))
+            << "entity " << e.id << ", family " << f << ", level " << level;
+        std::string appended = "head";
+        config.AppendKey(f, level, e, &appended);
+        EXPECT_EQ(appended, "head" + key);
+
+        if (level > 1) path.push_back(kPathSeparator);
+        config.AppendKey(f, level, e, &path);
+        const std::string reference = config.Path(f, level, e);
+        ASSERT_EQ(path, reference)
+            << "entity " << e.id << ", family " << f << ", level " << level;
+        const int node = forest.Find(path);
+        ASSERT_GE(node, 0);
+        EXPECT_EQ(node, forest.Find(reference));
+        EXPECT_EQ(forest.node(node).id.level, level);
+      }
+    }
+  }
 }
 
 TEST(BlockingFunctionTest, SortAttributeDefaultsToBlockingAttribute) {

@@ -117,8 +117,10 @@ TEST(StringUtilTest, PrefixLongerThanString) {
 
 TEST(StringUtilTest, PrefixEmpty) { EXPECT_EQ(Prefix("", 4), ""); }
 
-TEST(StringUtilTest, ToLowerAscii) {
-  EXPECT_EQ(ToLowerAscii("AbC xY-9"), "abc xy-9");
+TEST(StringUtilTest, AppendLowerAscii) {
+  std::string out = "Q:";
+  AppendLowerAscii("AbC xY-9\xc3\x89", &out);
+  EXPECT_EQ(out, "Q:abc xy-9\xc3\x89");  // bytes >= 0x80 pass through
 }
 
 TEST(StringUtilTest, SplitBasic) {

@@ -1,5 +1,6 @@
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -19,6 +20,19 @@ TEST(CountersTest, IncrementAndGet) {
   counters.Increment("x", 4);
   EXPECT_EQ(counters.Get("x"), 5);
   EXPECT_EQ(counters.Get("absent"), 0);
+}
+
+TEST(CountersTest, NamesAreLookedUpByView) {
+  // A view into a longer string names only its own bytes, and a name first
+  // seen through a view is stored as a copy.
+  const std::string text = "map.emitted_pairs and more";
+  const std::string_view name = std::string_view(text).substr(0, 17);
+  Counters counters;
+  counters.Increment(name);
+  counters.Increment("map.emitted_pairs", 2);
+  EXPECT_EQ(counters.Get(name), 3);
+  ASSERT_EQ(counters.values().size(), 1u);
+  EXPECT_EQ(counters.values().begin()->first, "map.emitted_pairs");
 }
 
 TEST(CountersTest, MergeSums) {

@@ -1,6 +1,7 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <string_view>
 
 #include <gtest/gtest.h>
 
@@ -292,6 +293,64 @@ TEST(Crc32Test, ChainingMatchesOneShot) {
     const uint32_t chained =
         Crc32(data.substr(cut), Crc32(data.substr(0, cut)));
     EXPECT_EQ(chained, whole) << "cut at " << cut;
+  }
+}
+
+// Bit-at-a-time CRC-32 over the reflected polynomial 0xEDB88320, with the
+// same pre- and post-inversion and chaining contract as Crc32: the
+// definition the table-driven code must reproduce.
+uint32_t BitwiseCrc32(std::string_view data, uint32_t crc) {
+  uint32_t c = ~crc;
+  for (const char ch : data) {
+    c ^= static_cast<uint8_t>(ch);
+    for (int k = 0; k < 8; ++k) c = (c & 1u) ? (c >> 1) ^ 0xedb88320u : c >> 1;
+  }
+  return ~c;
+}
+
+// Deterministic bytes covering every value 0..255 (xorshift64).
+std::string PseudoRandomBytes(size_t n) {
+  std::string out(n, '\0');
+  uint64_t x = 0x9e3779b97f4a7c15ull;
+  for (char& c : out) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    c = static_cast<char>(x >> 56);
+  }
+  return out;
+}
+
+TEST(Crc32Test, MatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  // Lengths 0..130 cover an empty input, every tail length on both sides of
+  // several 8-byte steps, and the 8 start offsets every alignment.
+  const std::string buffer = PseudoRandomBytes(8 + 4096);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 130; ++len) {
+      const std::string_view data(buffer.data() + offset, len);
+      ASSERT_EQ(Crc32(data), BitwiseCrc32(data, 0))
+          << "offset " << offset << ", length " << len;
+    }
+    for (const size_t len : {size_t{1024}, size_t{2047}, size_t{4096}}) {
+      const std::string_view data(buffer.data() + offset, len);
+      ASSERT_EQ(Crc32(data), BitwiseCrc32(data, 0))
+          << "offset " << offset << ", length " << len;
+    }
+  }
+}
+
+TEST(Crc32Test, ChainsFromZeroAndNonZeroSeedsLikeTheReference) {
+  const std::string data = PseudoRandomBytes(3 * 1024 + 5);
+  for (const uint32_t seed : {0u, 1u, 0xcbf43926u, 0x80000000u, 0xffffffffu}) {
+    const uint32_t expected = BitwiseCrc32(data, seed);
+    EXPECT_EQ(Crc32(data, seed), expected) << "seed " << seed;
+    const size_t cuts[] = {1, 7, 8, 9, 1000, data.size() - 3};
+    for (const size_t cut : cuts) {
+      const std::string_view view(data);
+      EXPECT_EQ(Crc32(view.substr(cut), Crc32(view.substr(0, cut), seed)),
+                expected)
+          << "seed " << seed << ", cut at " << cut;
+    }
   }
 }
 
