@@ -358,6 +358,32 @@ ErRunResult ProgressiveEr::Run(const Dataset& dataset) const {
       }
     }
 
+    // Where the map's block walks can still emit: per family, the blocks
+    // with a scheduled unit at or below them — each unit's block and its
+    // ancestors. A walk stops at the first block not marked here, exactly
+    // in both emission modes: nothing further down its chain has a unit,
+    // and an entity reaches a tree's units through the tree's root, which
+    // is marked whenever they exist.
+    std::vector<std::vector<char>> toward_units(
+        static_cast<size_t>(num_families));
+    for (int f = 0; f < num_families; ++f) {
+      toward_units[static_cast<size_t>(f)].assign(
+          static_cast<size_t>(forests[static_cast<size_t>(f)].num_blocks()),
+          0);
+    }
+    for (const std::vector<MatchTask>& units : schedule.task_units) {
+      for (const MatchTask& unit : units) {
+        const AnnotatedForest& forest =
+            forests[static_cast<size_t>(unit.ref.family)];
+        std::vector<char>& marked =
+            toward_units[static_cast<size_t>(unit.ref.family)];
+        for (int n = unit.ref.node; n >= 0 && !marked[static_cast<size_t>(n)];
+             n = forest.block(n).parent) {
+          marked[static_cast<size_t>(n)] = 1;
+        }
+      }
+    }
+
     using Job = MapReduceJob<Entity, int64_t, ResolveValue>;
     Job job(map_tasks, reduce_tasks);
     job.set_map_cost_per_record(0.1);
@@ -376,6 +402,7 @@ ErRunResult ProgressiveEr::Run(const Dataset& dataset) const {
       thread_local std::string path;
       for (int f = 0; f < num_families; ++f) {
         const AnnotatedForest& forest = forests[static_cast<size_t>(f)];
+        const std::vector<char>& marked = toward_units[static_cast<size_t>(f)];
         const int levels = blocking_.family(f).levels();
         int previous_node = -1;
         int previous_tree = -1;
@@ -384,7 +411,8 @@ ErRunResult ProgressiveEr::Run(const Dataset& dataset) const {
           if (level > 1) path.push_back(kPathSeparator);
           blocking_.AppendKey(f, level, e, &path);
           const int node = forest.Find(path);
-          if (node < 0) break;  // chain eliminated from here down
+          // No live block, or no unit from here down.
+          if (node < 0 || !marked[static_cast<size_t>(node)]) break;
           if (node == previous_node) continue;  // equal-size collapse redirect
           previous_node = node;
           // The SQs this block ships e to. Per-tree: one emission per

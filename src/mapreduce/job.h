@@ -30,9 +30,10 @@ namespace progres {
 // In-process MapReduce runtime, layered out of three components:
 //   * Shuffle (shuffle.h) — partition routing, the memory-budgeted map-side
 //     KV block buffers with their sorted spill runs
-//     (ClusterConfig::shuffle_budget), the reduce-side gather (an in-memory
-//     sort, or a k-way external merge over the spill runs), and data-plane
-//     accounting (exported under "mr.shuffle.*" and "mr.spill.*");
+//     (ClusterConfig::shuffle_budget), the reduce-side gather (a k-way
+//     merge, on encoded keys, of every task's spill runs and sorted
+//     in-memory tail), and data-plane accounting (exported under
+//     "mr.shuffle.*" and "mr.spill.*");
 //   * TaskAttemptRunner (task_runner.h) — the retry bookkeeping of
 //     fault-injected task attempts, per phase;
 //   * the attempt-aware timing model (cluster.h) — converts per-attempt
@@ -88,8 +89,9 @@ namespace progres {
 // across backends and regardless of real thread interleaving; the simulated
 // timeline stays the results clock under both.
 //
-// Keys and values are typed (template parameters) rather than raw bytes;
-// serialization would add nothing to the reproduced algorithms.
+// Keys and values are typed (template parameters) at the map and reduce
+// calls; between the two the shuffle carries them encoded (serde.h), and
+// decodes each record once, for its reduce call.
 
 template <typename Record, typename K, typename V>
 class MapReduceJob {
@@ -675,10 +677,11 @@ class MapReduceJob {
       MapTask& task = s.map_task(t);
       for (int round = 1;; ++round) {
         const size_t known = s.corrupt_run_events.size();
-        for (const SpillRun& run : task.ctx.output_.spill_runs()) {
-          if (!ValidateSpillRun(run)) {
-            s.corrupt_run_events.push_back({t, run.records, run.bytes});
-          }
+        const auto& output = task.ctx.output_;
+        for (size_t i = 0; i < output.spill_runs().size(); ++i) {
+          if (output.SpillRunIntact(i)) continue;
+          const SpillRun& run = output.spill_runs()[i];
+          s.corrupt_run_events.push_back({t, run.records, run.bytes});
         }
         if (s.corrupt_run_events.size() == known) break;
         std::string error;
@@ -1248,14 +1251,12 @@ class MapReduceJob {
          phase, t, -1, cost, deadline});
   }
 
-  // Full gathered input of reduce task `t` — the denominator a degraded
-  // task's coverage is reported against. Re-gathers (cheap, in-memory or a
-  // re-read of the spill runs); a failing gather yields its partial size,
-  // floored at the covered count by the callers.
-  int64_t GatheredTotal(RunState& s, int t) {
-    typename JobShuffle::GatherStats probe;
-    return static_cast<int64_t>(
-        shuffle_.GatherSorted(s.map_outputs, t, &probe).size());
+  // Full input of reduce task `t` — the denominator a degraded task's
+  // coverage is reported against: its partition's record counts, read
+  // without merging, so a task whose merge failed still reports its whole
+  // input.
+  int64_t GatheredTotal(const RunState& s, int t) const {
+    return JobShuffle::PartitionRecords(s.map_outputs, t);
   }
 
   static bool Fail(RunState& s, std::string error) {
@@ -1383,14 +1384,15 @@ class MapReduceJob {
     seam.MarkCheckpoint(SpanKind::kCheckpointSave, task, units);
   }
 
-  // Runs one reduce-task attempt: gather/merge via the shuffle (decoding
-  // never consumes the map-side blocks or spill files, so a failing or
-  // hanging attempt leaves everything intact for the retry; a cut attempt
-  // stops at the group boundary past its cutoff fraction of the input
-  // pairs), then one reduce call per group; the winning attempt runs
-  // cleanup. A resumed attempt skips the groups its restored checkpoint
-  // already covers. `task->gather` receives the attempt's merge accounting
-  // (the winner's values are the ones the job reports).
+  // Runs one reduce-task attempt: one reduce call per group of the
+  // shuffle's merge, which decodes each record as its group is collected
+  // (merging never consumes the map-side blocks or spill files, so a
+  // failing or hanging attempt leaves everything intact for the retry; a
+  // cut attempt stops at the group boundary past its cutoff fraction of the
+  // input pairs); the winning attempt runs cleanup. A resumed attempt skips
+  // the groups its restored checkpoint already covers. `task->gather`
+  // receives the attempt's merge accounting (the winner's values are the
+  // ones the job reports).
   void RunReduceAttempt(RunState& s, ReduceTask* task,
                         const TaskAttemptRunner::Attempt& attempt) {
     ReduceContext* ctx = &task->ctx;
@@ -1398,23 +1400,22 @@ class MapReduceJob {
     const ExecutionSeam& seam = s.seam;
     const int64_t skip_groups = task->skip;
     const bool cut = attempt.fails || attempt.hangs;
-    std::vector<std::pair<K, V>> pairs =
-        shuffle_.GatherSorted(s.map_outputs, attempt.task, &task->gather);
+    typename JobShuffle::Merge merge(shuffle_, s.map_outputs, attempt.task);
     const size_t limit =
         cut ? static_cast<size_t>(
-                  static_cast<double>(pairs.size()) *
+                  static_cast<double>(merge.records()) *
                   (attempt.fails ? attempt.fail_point : attempt.hang_point))
-            : pairs.size() + 1;
+            : merge.records() + 1;
 
     int64_t group_index = 0;
-    JobShuffle::ForEachGroup(
-        &pairs, limit, [&](const K& key, std::vector<V>* values) {
-          const int64_t group = group_index++;
-          if (group < skip_groups) return;
-          ctx->stats_.records_in += static_cast<int64_t>(values->size());
-          reduce_fn(key, values, ctx);
-          MaybeCheckpoint(ctx, group + 1, seam);
-        });
+    merge.ForEachGroup(limit, [&](const K& key, std::vector<V>* values) {
+      const int64_t group = group_index++;
+      if (group < skip_groups) return;
+      ctx->stats_.records_in += static_cast<int64_t>(values->size());
+      reduce_fn(key, values, ctx);
+      MaybeCheckpoint(ctx, group + 1, seam);
+    });
+    task->gather = merge.stats();
     if (!cut) {
       if (reduce_cleanup_) reduce_cleanup_(ctx);
       ctx->stats_.cost = ctx->clock_.units();

@@ -36,14 +36,22 @@ void PutString(std::string_view value, std::string* out) {
   out->append(value);
 }
 
-bool GetString(std::string_view in, size_t* offset, std::string* value) {
+bool GetStringView(std::string_view in, size_t* offset,
+                   std::string_view* value) {
   uint64_t length = 0;
   if (!GetVarint64(in, offset, &length)) return false;
   // Compare against the remaining bytes, not `*offset + length`: a huge
   // claimed length must fail cleanly instead of overflowing the offset.
   if (length > in.size() - *offset) return false;
-  value->assign(in.substr(*offset, length));
+  *value = in.substr(*offset, length);
   *offset += length;
+  return true;
+}
+
+bool GetString(std::string_view in, size_t* offset, std::string* value) {
+  std::string_view view;
+  if (!GetStringView(in, offset, &view)) return false;
+  value->assign(view);
   return true;
 }
 

@@ -1,6 +1,7 @@
 #ifndef PROGRES_MAPREDUCE_SERDE_H_
 #define PROGRES_MAPREDUCE_SERDE_H_
 
+#include <concepts>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -10,9 +11,10 @@ namespace progres {
 
 // Minimal Hadoop-Writable-style wire encoding. The shuffle's KV blocks and
 // spill runs store records in this form (see shuffle.h), so the codecs are
-// load-bearing: a map output is encoded once on Emit and decoded by the
-// reduce-side merge. The same helpers also account for shuffle byte volumes
-// (the `shuffle.bytes` counters in the drivers).
+// load-bearing: a map output is encoded once on Emit, sorted and merged as
+// bytes under its key codec's raw order, and decoded once for the reduce
+// call. The same helpers also account for shuffle byte volumes (the
+// `shuffle.bytes` counters in the drivers).
 
 // Appends `value` to `out` as a base-128 varint (LEB128).
 void PutVarint64(uint64_t value, std::string* out);
@@ -38,6 +40,10 @@ void PutString(std::string_view value, std::string* out);
 // truncated prefix or when the prefix claims more bytes than `in` holds
 // (including lengths that would overflow the offset).
 bool GetString(std::string_view in, size_t* offset, std::string* value);
+
+// GetString without the copy: `*value` views the string's bytes inside `in`.
+bool GetStringView(std::string_view in, size_t* offset,
+                   std::string_view* value);
 
 // Number of bytes PutVarint64 would append.
 int VarintSize(uint64_t value);
@@ -77,13 +83,22 @@ inline uint64_t Fnv1a64(std::string_view data,
 template <typename T, typename Enable = void>
 struct KvCodec;
 
+// A key codec also orders encoded keys, so the shuffle can sort and merge
+// records as bytes and decode each one once, for the reduce call.
+// `RawKey` is a cheap handle on one encoded key; ParseRaw reads it from
+// `in` at `*offset`, advancing past the key, and fails exactly where
+// Decode would; RawLess orders two handles as decode-then-operator< orders
+// the keys, so handles neither of which is RawLess than the other belong to
+// equal keys.
+
 // Integers travel as varints of their two's-complement bit pattern — the
 // same `VarintSize(static_cast<uint64_t>(v))` form the drivers' own
 // "shuffle.bytes" counters use. Callers with many small negatives should
-// ZigZag inside their own codec.
+// ZigZag inside their own codec. The raw handle is the decoded value.
 template <typename T>
 struct KvCodec<
     T, std::enable_if_t<std::is_integral_v<T> && !std::is_same_v<T, bool>>> {
+  using RawKey = T;
   static void Encode(const T& value, std::string* out) {
     PutVarint64(static_cast<uint64_t>(value), out);
   }
@@ -93,6 +108,10 @@ struct KvCodec<
     *value = static_cast<T>(raw);
     return true;
   }
+  static bool ParseRaw(std::string_view in, size_t* offset, T* key) {
+    return Decode(in, offset, key);
+  }
+  static bool RawLess(T a, T b) { return a < b; }
 };
 
 template <>
@@ -108,14 +127,22 @@ struct KvCodec<bool> {
   }
 };
 
+// The raw handle views the bytes after the length prefix. string_view
+// compares them as unsigned chars and then by length: std::string's order.
 template <>
 struct KvCodec<std::string> {
+  using RawKey = std::string_view;
   static void Encode(const std::string& value, std::string* out) {
     PutString(value, out);
   }
   static bool Decode(std::string_view in, size_t* offset, std::string* value) {
     return GetString(in, offset, value);
   }
+  static bool ParseRaw(std::string_view in, size_t* offset,
+                       std::string_view* key) {
+    return GetStringView(in, offset, key);
+  }
+  static bool RawLess(std::string_view a, std::string_view b) { return a < b; }
 };
 
 // True when KvCodec<T> provides the Encode/Decode pair the shuffle needs.
@@ -128,6 +155,18 @@ concept SerdeEncodable = requires(const T& value, std::string* out,
   { KvCodec<T>::Encode(value, out) };
   { KvCodec<T>::Decode(in, offset, slot) } -> std::convertible_to<bool>;
 };
+
+// True when KvCodec<K> also orders encoded keys (RawKey, ParseRaw and
+// RawLess above), as every shuffle key type must.
+template <typename K>
+concept RawOrderedKey =
+    SerdeEncodable<K> &&
+    requires(std::string_view in, size_t* offset,
+             typename KvCodec<K>::RawKey* slot,
+             const typename KvCodec<K>::RawKey& key) {
+      { KvCodec<K>::ParseRaw(in, offset, slot) } -> std::convertible_to<bool>;
+      { KvCodec<K>::RawLess(key, key) } -> std::convertible_to<bool>;
+    };
 
 }  // namespace progres
 

@@ -25,15 +25,21 @@ namespace progres {
 // MapReduceJob composes a Shuffle with the task-attempt runner and the
 // timing model; tests can exercise the shuffle in isolation.
 //
-// Records are stored *encoded*: Emit serializes (key, value) through the
-// KvCodec for K and V (serde.h) into fixed-size blocks, replacing the old
-// per-partition std::vector<std::pair<K, V>>. When SpillConfig::enabled and
-// a map task's buffered bytes cross its budget share, every partition is
-// decoded, sorted (stably, by key), re-encoded and appended to a spill-run
-// file (spill.h); GatherSorted then k-way merges the runs with the sorted
-// in-memory tail. The merge's tie-break — (map task, run order, memory
-// last) — reproduces exactly the stable_sort order of the all-in-memory
-// path, so outputs are byte-identical with spilling off or forced on.
+// Records stay *encoded* from Emit to the reduce side. Emit serializes
+// (key, value) through the KvCodecs of K and V (serde.h) into fixed-size
+// blocks and, when SpillConfig::enabled, notes the record's length. A
+// spill never decodes: an index of (raw key, record bytes) entries is
+// stable-sorted by the key codec's raw order, which equals
+// decode-then-operator<. When a map task's buffered bytes cross its budget
+// share, each partition's index is sorted and its record bytes are
+// appended, in that order, as one run to the task's spill file (spill.h);
+// the codecs are canonical, so a run holds exactly the bytes a
+// decode/sort/re-encode would write. Merge k-way merges, on raw keys,
+// every task's spilled segments (chunked positioned reads) and sorted
+// in-memory tail, tie-breaking on source order — (map task, run order,
+// memory last) — which reproduces the stable_sort order of decoded pairs
+// exactly, so outputs are byte-identical with spilling off or forced on.
+// Each record is decoded once, on its way to the reduce call.
 //
 // The component also *accounts* for the data crossing it: MeasureVolume
 // reports the record count and the encoded bytes of a map task's output.
@@ -42,12 +48,20 @@ namespace progres {
 // (see counters.h).
 template <typename K, typename V>
 class Shuffle {
-  static_assert(SerdeEncodable<K>,
-                "Shuffle key type has no KvCodec specialization (serde.h); "
-                "the encoded data plane cannot carry it");
+  static_assert(RawOrderedKey<K>,
+                "Shuffle key type has no raw-ordered KvCodec specialization "
+                "(serde.h); the encoded data plane cannot sort it");
   static_assert(SerdeEncodable<V>,
                 "Shuffle value type has no KvCodec specialization (serde.h); "
                 "the encoded data plane cannot carry it");
+  using RawKey = typename KvCodec<K>::RawKey;
+
+  // One buffered record in a sort index: its raw key and its bytes.
+  struct IndexEntry {
+    RawKey key;
+    const char* data;
+    uint32_t size;
+  };
 
  public:
   using KV = std::pair<K, V>;
@@ -70,7 +84,7 @@ class Shuffle {
     std::string fallback_dir;
   };
 
-  // Merge accounting of one GatherSorted call, reconciled against the
+  // Accounting of one reduce-side merge, reconciled against the
   // "mr.spill.merge_passes" counter and kSpillMerge trace spans.
   struct GatherStats {
     int64_t runs_merged = 0;      // spill-run segments fed into the merge
@@ -107,10 +121,11 @@ class Shuffle {
   const SpillConfig& spill_config() const { return spill_; }
 
   // Map-side buffer of one map task: per-partition chains of encoded KV
-  // blocks, spilled to sorted runs when the task's budget share fills.
-  // Reset discards a failed attempt's pairs — and deletes its spill files —
-  // so the retry starts from scratch. The destructor removes any remaining
-  // run files (winning outputs live until the job's map contexts die).
+  // blocks, spilled as sorted runs to one file per execution and directory
+  // when the task's budget share fills. Reset discards a failed attempt's
+  // pairs — and unlinks its spill files — so the retry starts from scratch;
+  // the destructor unlinks the rest (winning outputs live until the job's
+  // map contexts die).
   class MapOutput {
    public:
     // Storage-fault tallies of one map attempt's spill writes, merged into
@@ -138,13 +153,12 @@ class Shuffle {
     MapOutput() = default;
     MapOutput(const MapOutput&) = delete;
     MapOutput& operator=(const MapOutput&) = delete;
-    ~MapOutput() { DeleteSpillFiles(); }
 
     void Reset(const Shuffle& shuffle, int task) {
       shuffle_ = &shuffle;
       task_ = task;
-      DeleteSpillFiles();
       runs_.clear();
+      file_.reset();
       buckets_.clear();
       buckets_.resize(static_cast<size_t>(shuffle.num_partitions_));
       spill_crc_.assign(static_cast<size_t>(shuffle.num_partitions_), 0);
@@ -160,7 +174,7 @@ class Shuffle {
     // Arms (or, with a null plan, disarms) storage-fault injection for the
     // attempt about to run. `generation` numbers this execution of the task
     // — attempt retries and barrier-triggered re-runs each bump it — so
-    // every execution draws fresh fault decisions and names its run files
+    // every execution draws fresh fault decisions and names its spill files
     // uniquely (no collision with a stale file from a killed attempt).
     // Call after Reset: Reset clears the fault context.
     void ConfigureSpill(const FaultPlan* plan, int generation) {
@@ -193,10 +207,8 @@ class Shuffle {
                     Fnv1a64(scratch_) %
                     static_cast<uint64_t>(shuffle_->num_partitions_))
               : shuffle_->partition_(key, shuffle_->num_partitions_);
-      Bucket& bucket = buckets_[static_cast<size_t>(r)];
       KvCodec<V>::Encode(value, &scratch_);
-      AppendEncoded(&bucket, scratch_);
-      ++bucket.records;
+      AppendEncoded(&buckets_[static_cast<size_t>(r)], scratch_);
       if (shuffle_->spill_.enabled && spill_error_.empty() &&
           mem_bytes_ >= shuffle_->spill_.task_buffer_bytes) {
         Spill();
@@ -206,6 +218,13 @@ class Shuffle {
     // The sorted runs this task has spilled so far (winning attempts only —
     // Reset removed any failed attempt's).
     const std::vector<SpillRun>& spill_runs() const { return runs_; }
+    // Whether spill run `i` still reads back as written (ValidateSpillRun;
+    // the last run of a file also checks the file's size).
+    bool SpillRunIntact(size_t i) const {
+      const bool last_in_file =
+          i + 1 == runs_.size() || runs_[i + 1].file != runs_[i].file;
+      return ValidateSpillRun(runs_[i], last_in_file);
+    }
     // Non-empty after a spill write failed; the job fails with it at the
     // map barrier (the buffered data stayed in memory, but the budget
     // contract is broken and the configuration needs fixing, not retrying).
@@ -217,10 +236,13 @@ class Shuffle {
     friend class Shuffle;
 
     // One partition's buffered records: sealed blocks of at most
-    // block_bytes each (records never straddle blocks) and their count.
+    // block_bytes each (records never straddle blocks), their count, and,
+    // when spilling is enabled, each record's encoded length in emission
+    // order — what a sort index walks the blocks by.
     struct Bucket {
       std::vector<std::string> blocks;
       int64_t records = 0;
+      std::vector<uint32_t> sizes;
     };
 
     void AppendEncoded(Bucket* bucket, std::string_view record) {
@@ -232,46 +254,50 @@ class Shuffle {
         bucket->blocks.back().reserve(std::min(cap, record.size() + cap / 2));
       }
       bucket->blocks.back().append(record.data(), record.size());
+      ++bucket->records;
+      if (shuffle_->spill_.enabled) {
+        bucket->sizes.push_back(static_cast<uint32_t>(record.size()));
+      }
       mem_bytes_ += static_cast<int64_t>(record.size());
     }
 
-    // Sorts and writes every partition's buffered records as one spill
-    // run, then resets the in-memory chains. On I/O failure the run is
-    // dropped, the buffers stay, and spill_error_ carries the label.
+    // Appends every partition's buffered records, sorted by raw key, as
+    // one spill run, then resets the in-memory chains. On I/O failure the
+    // run is dropped, the buffers stay, and spill_error_ carries the label.
     void Spill() {
-      std::vector<std::string> payloads(
-          static_cast<size_t>(shuffle_->num_partitions_));
-      std::vector<int64_t> records(
-          static_cast<size_t>(shuffle_->num_partitions_), 0);
-      for (int r = 0; r < shuffle_->num_partitions_; ++r) {
-        Bucket& bucket = buckets_[static_cast<size_t>(r)];
-        std::vector<KV> pairs;
-        std::string error;
-        shuffle_->DecodeBucket(bucket, &pairs, &error);
-        if (!error.empty()) {
-          spill_error_ = error;
+      const size_t partitions = buckets_.size();
+      std::string bytes;
+      std::vector<SpillSegment> segments(partitions);
+      std::vector<IndexEntry> index;
+      for (size_t r = 0; r < partitions; ++r) {
+        index.clear();
+        if (!IndexBucket(buckets_[r], &index)) {
+          spill_error_ = "corrupt in-memory shuffle block";
           return;
         }
-        SortByKey(&pairs);
-        std::string& payload = payloads[static_cast<size_t>(r)];
-        for (const KV& kv : pairs) {
-          KvCodec<K>::Encode(kv.first, &payload);
-          KvCodec<V>::Encode(kv.second, &payload);
+        SortIndex(&index);
+        segments[r].offset = static_cast<int64_t>(bytes.size());
+        for (const IndexEntry& entry : index) {
+          bytes.append(entry.data, entry.size);
         }
-        records[static_cast<size_t>(r)] = static_cast<int64_t>(pairs.size());
+        segments[r].bytes =
+            static_cast<int64_t>(bytes.size()) - segments[r].offset;
+        segments[r].records = static_cast<int64_t>(index.size());
       }
       SpillRun run;
-      if (!WriteRunWithFaults(payloads, records, &run)) return;
-      for (int r = 0; r < shuffle_->num_partitions_; ++r) {
-        const std::string& payload = payloads[static_cast<size_t>(r)];
-        spill_crc_[static_cast<size_t>(r)] =
-            Crc32(payload, spill_crc_[static_cast<size_t>(r)]);
-        spilled_volume_.records += records[static_cast<size_t>(r)];
-        spilled_volume_.bytes += static_cast<int64_t>(payload.size());
+      if (!WriteRunWithFaults(bytes, segments, &run)) return;
+      for (size_t r = 0; r < partitions; ++r) {
+        spill_crc_[r] = Crc32(
+            std::string_view(bytes).substr(
+                static_cast<size_t>(segments[r].offset),
+                static_cast<size_t>(segments[r].bytes)),
+            spill_crc_[r]);
       }
+      spilled_volume_.records += run.records;
+      spilled_volume_.bytes += run.bytes;
       runs_.push_back(std::move(run));
       buckets_.clear();
-      buckets_.resize(static_cast<size_t>(shuffle_->num_partitions_));
+      buckets_.resize(partitions);
       mem_bytes_ = 0;
     }
 
@@ -281,12 +307,13 @@ class Shuffle {
     // are retried with modeled backoff up to the plan's budget, exhaustion
     // failing over too; with no fallback available the attempt keeps the
     // existing sticky spill_error_ behaviour. After a successful *primary*
-    // write the plan may materialize a torn write (truncated tail) or a
-    // flipped byte — silent here, caught by ValidateSpillRun at the map
-    // barrier. Fallback-dir writes are injection-free, so re-runs converge.
-    // False when spill_error_ was set (the run is dropped, buffers stay).
-    bool WriteRunWithFaults(const std::vector<std::string>& payloads,
-                            const std::vector<int64_t>& records,
+    // write the plan may materialize a torn write (truncated tail), which
+    // ends the file, or a flipped byte — silent here, caught by
+    // ValidateSpillRun at the map barrier. Fallback-dir writes are
+    // injection-free, so re-runs converge. False when spill_error_ was set
+    // (the run is dropped, buffers stay).
+    bool WriteRunWithFaults(std::string_view bytes,
+                            const std::vector<SpillSegment>& segments,
                             SpillRun* run) {
       const int run_index = static_cast<int>(runs_.size());
       const FaultPlan* plan = fault_plan_;
@@ -302,11 +329,7 @@ class Shuffle {
         const bool injected_error =
             !use_fallback_ && plan != nullptr &&
             plan->SpillWriteError(task_, run_index, generation_, tries);
-        const bool ok =
-            !injected_error &&
-            WriteSpillRun(NextSpillPath(dir(), task_, generation_), payloads,
-                          records, run);
-        if (ok) break;
+        if (!injected_error && AppendRun(bytes, segments, run)) break;
         ++disk_stats_.write_errors;
         if (tries < max_retries) {
           ++tries;
@@ -328,12 +351,13 @@ class Shuffle {
       }
       if (!use_fallback_ && plan != nullptr && run->bytes > 0) {
         if (plan->SpillTornWrite(task_, run_index, generation_)) {
-          if (TruncateSpillFile(run->path, run->bytes - 1)) {
+          if (file_->Truncate(run->offset + run->bytes - 1)) {
             ++disk_stats_.torn_writes;
           }
+          file_.reset();  // the next run starts a new file
         } else if (plan->SpillCorrupted(task_, run_index, generation_)) {
-          CorruptSpillByte(
-              run->path,
+          file_->FlipByte(
+              run->offset +
               static_cast<int64_t>(plan->SpillCorruptOffset(
                   task_, run_index, generation_,
                   static_cast<uint64_t>(run->bytes))));
@@ -342,8 +366,22 @@ class Shuffle {
       return true;
     }
 
-    // Switches this attempt's remaining spill writes to the fallback dir.
-    // Without one configured, sets the labelled sticky spill_error_.
+    // Appends the run to this execution's file in the current directory,
+    // creating the file on first use.
+    bool AppendRun(std::string_view bytes,
+                   const std::vector<SpillSegment>& segments, SpillRun* run) {
+      if (file_ == nullptr) {
+        auto file = std::make_shared<SpillFile>(
+            NextSpillPath(dir(), task_, generation_));
+        if (!file->ok()) return false;
+        file_ = std::move(file);
+      }
+      return AppendSpillRun(file_, bytes, segments, run);
+    }
+
+    // Switches this attempt's remaining spill writes to a new file in the
+    // fallback dir. Without one configured, sets the labelled sticky
+    // spill_error_.
     bool FailOver() {
       if (shuffle_->spill_.fallback_dir.empty()) {
         spill_error_ = "spill dir " + shuffle_->spill_.dir +
@@ -352,6 +390,7 @@ class Shuffle {
         return false;
       }
       use_fallback_ = true;
+      file_.reset();
       ++disk_stats_.dir_failovers;
       return true;
     }
@@ -362,15 +401,13 @@ class Shuffle {
                            : shuffle_->spill_.dir;
     }
 
-    void DeleteSpillFiles() {
-      for (const SpillRun& run : runs_) RemoveSpillFile(run.path);
-      runs_.clear();
-    }
-
     const Shuffle* shuffle_ = nullptr;
     int task_ = 0;
     std::vector<Bucket> buckets_;
     std::vector<SpillRun> runs_;
+    // The file the next run appends to; null before the first write and
+    // after a torn write or a fail-over.
+    std::shared_ptr<SpillFile> file_;
     // Per-partition CRC32 chained over the spilled segments, in run order;
     // PartitionChecksum continues it over the in-memory blocks.
     std::vector<uint32_t> spill_crc_;
@@ -390,9 +427,26 @@ class Shuffle {
     Volume volume = out.spilled_volume_;
     for (const auto& bucket : out.buckets_) {
       volume.records += bucket.records;
-      volume.bytes += BucketBytes(bucket);
+      for (const std::string& block : bucket.blocks) {
+        volume.bytes += static_cast<int64_t>(block.size());
+      }
     }
     return volume;
+  }
+
+  // Records of partition `r` across `maps`: the buffered counts plus the
+  // spilled segments', read without decoding — what an intact merge of the
+  // partition yields.
+  static int64_t PartitionRecords(const std::vector<MapOutput*>& maps,
+                                  int r) {
+    int64_t records = 0;
+    for (const MapOutput* m : maps) {
+      records += m->buckets_[static_cast<size_t>(r)].records;
+      for (const SpillRun& run : m->runs_) {
+        records += run.segments[static_cast<size_t>(r)].records;
+      }
+    }
+    return records;
   }
 
   // CRC32 of partition `r` of a finished map output — the checksum shipped
@@ -411,217 +465,284 @@ class Shuffle {
     return crc;
   }
 
-  // Reduce-side merge: partition `r` from every map output, sorted by key.
-  // Without spills this decodes the buffered blocks in map-task order and
-  // stable_sorts — the reference order, where equal keys keep (map task,
-  // emission order). With spills it k-way merges each task's runs (in run
-  // order, each already sorted and internally stable) with its sorted
-  // in-memory tail, tie-breaking on source order — which reproduces the
-  // reference order bit for bit, because a task's runs hold earlier
-  // emissions than its memory tail. Decoding never consumes the underlying
-  // blocks or files, so a failed attempt's retry simply gathers again —
-  // move-only payloads included (the old copying gather silently returned
-  // empty for those; the codec path has no copy to refuse).
-  std::vector<KV> GatherSorted(const std::vector<MapOutput*>& maps, int r,
-                               GatherStats* stats = nullptr) const {
-    GatherStats local;
-    GatherStats& gs = stats != nullptr ? *stats : local;
-    gs = GatherStats{};
-    bool any_runs = false;
-    for (const MapOutput* m : maps) {
-      if (!m->runs_.empty()) any_runs = true;
+  // Reduce-side merge of partition `r` from every map output: its records
+  // in key order, each decoded once. When part of the partition was
+  // spilled, records are decoded as the reduce loop asks for them: one
+  // source per non-empty spilled segment, read in chunks of at most
+  // block_bytes, and one per task's in-memory tail, sorted through its
+  // index, in (map task, run order, memory last) order; the heap pops the
+  // smallest raw key and, among equal keys, the earliest source. That is
+  // the stable order of all-in-memory decoded pairs — equal keys keep
+  // (map task, emission order) — because a task's runs hold earlier
+  // emissions than its memory tail, and such a merge holds encoded bytes
+  // and indexes, never the decoded partition. A partition with nothing
+  // spilled is decoded in task order and stable-sorted instead, the same
+  // order. Reading never consumes the blocks or files, so a failed
+  // attempt's retry simply merges again.
+  class Merge {
+   public:
+    Merge(const Shuffle& shuffle, const std::vector<MapOutput*>& maps,
+          int r)
+        : records_(static_cast<size_t>(PartitionRecords(maps, r))) {
+      const size_t chunk = static_cast<size_t>(
+          std::max<int64_t>(1, shuffle.spill_.block_bytes));
+      bool spilled = false;
+      for (const MapOutput* m : maps) {
+        for (const SpillRun& run : m->runs_) {
+          spilled = spilled || run.segments[static_cast<size_t>(r)].bytes > 0;
+        }
+      }
+      if (!spilled) {
+        // Nothing of the partition left memory: decode the tails in task
+        // order and stable-sort the pairs, which is their merge. For small
+        // records, sequential decoding and moving decoded pairs beat an
+        // index sort followed by decoding in scattered order.
+        memory_.reserve(records_);
+        for (const MapOutput* m : maps) {
+          if (!DecodeBucket(m->buckets_[static_cast<size_t>(r)], &memory_)) {
+            stats_.error = "corrupt in-memory shuffle block";
+            return;
+          }
+        }
+        std::stable_sort(memory_.begin(), memory_.end(),
+                         [](const KV& a, const KV& b) {
+                           return a.first < b.first;
+                         });
+        return;
+      }
+      for (const MapOutput* m : maps) {
+        for (const SpillRun& run : m->runs_) {
+          const SpillSegment& segment = run.segments[static_cast<size_t>(r)];
+          if (segment.bytes == 0) continue;
+          MergeSource& source = sources_.emplace_back();
+          source.reader =
+              std::make_unique<SpillSegmentReader>(*run.file, segment, chunk);
+          ++stats_.runs_merged;
+          stats_.spilled_records += segment.records;
+          stats_.spilled_bytes += segment.bytes;
+        }
+        const Bucket& bucket = m->buckets_[static_cast<size_t>(r)];
+        if (bucket.records == 0) continue;
+        MergeSource& source = sources_.emplace_back();
+        source.index.reserve(bucket.sizes.size());
+        if (!IndexBucket(bucket, &source.index)) {
+          stats_.error = "corrupt in-memory shuffle block";
+          return;
+        }
+        SortIndex(&source.index);
+      }
+      for (size_t i = 0; i < sources_.size(); ++i) {
+        sources_[i].order = i;
+        if (Peek(&sources_[i])) heap_.push(&sources_[i]);
+        if (!stats_.error.empty()) return;
+      }
     }
-    std::vector<KV> pairs;
-    if (!any_runs) {
-      // Fast path: the all-in-memory reference merge.
-      size_t total = 0;
-      for (const MapOutput* m : maps) {
-        total += static_cast<size_t>(
-            m->buckets_[static_cast<size_t>(r)].records);
+    Merge(const Merge&) = delete;
+    Merge& operator=(const Merge&) = delete;
+
+    // Records an intact input yields: the sources' record counts.
+    size_t records() const { return records_; }
+    // Spill accounting of the merge; `error` labels a corrupt or unreadable
+    // spill once ForEachGroup has run into it.
+    const GatherStats& stats() const { return stats_; }
+
+    // Invokes fn(key, &values) once per distinct key of the merge, in key
+    // order. Groups whose first record sits at or past position `limit`
+    // are not visited — the injected-failure cutoff of a failing reduce
+    // attempt. Only whole groups reach `fn`: when the merge fails
+    // (stats().error), the group it was collecting may lack records and is
+    // dropped, like every group after it.
+    template <typename Fn>
+    void ForEachGroup(size_t limit, Fn&& fn) {
+      if (!stats_.error.empty()) return;
+      if (sources_.empty()) {
+        // The sorted in-memory partition: group it in place, moving each
+        // value out once.
+        for (size_t i = 0; i < memory_.size() && i < limit;) {
+          size_t j = i + 1;
+          while (j < memory_.size() &&
+                 !(memory_[i].first < memory_[j].first)) {
+            ++j;
+          }
+          std::vector<V> values;
+          values.reserve(j - i);
+          for (size_t k = i; k < j; ++k) {
+            values.push_back(std::move(memory_[k].second));
+          }
+          fn(memory_[i].first, &values);
+          i = j;
+        }
+        return;
       }
-      pairs.reserve(total);
-      for (const MapOutput* m : maps) {
-        DecodeBucket(m->buckets_[static_cast<size_t>(r)], &pairs, &gs.error);
-        if (!gs.error.empty()) return {};
+      KV next;
+      bool more = Next(&next);
+      for (size_t i = 0; more && i < limit;) {
+        K key = std::move(next.first);
+        std::vector<V> values;
+        values.push_back(std::move(next.second));
+        ++i;
+        while ((more = Next(&next)) && !(key < next.first)) {
+          values.push_back(std::move(next.second));
+          ++i;
+        }
+        if (!stats_.error.empty()) return;
+        fn(key, &values);
       }
-      SortByKey(&pairs);
-      return pairs;
     }
 
-    // External merge: one source per non-empty spill segment plus one per
-    // task's in-memory tail, in (map task, run order, memory last) order.
-    std::vector<std::unique_ptr<MergeSource>> sources;
-    size_t total = 0;
-    for (const MapOutput* m : maps) {
-      for (const SpillRun& run : m->runs_) {
-        const SpillSegment& segment = run.segments[static_cast<size_t>(r)];
-        if (segment.bytes == 0) continue;
-        auto source = std::make_unique<MergeSource>();
-        source->reader = std::make_unique<SpillSegmentReader>(
-            run.path, segment,
-            static_cast<size_t>(std::max<int64_t>(1, spill_.block_bytes)));
-        sources.push_back(std::move(source));
-        total += static_cast<size_t>(segment.records);
-        ++gs.runs_merged;
-        gs.spilled_records += segment.records;
-        gs.spilled_bytes += segment.bytes;
-      }
-      const auto& bucket = m->buckets_[static_cast<size_t>(r)];
-      if (bucket.records > 0) {
-        auto source = std::make_unique<MergeSource>();
-        DecodeBucket(bucket, &source->mem, &gs.error);
-        if (!gs.error.empty()) return {};
-        SortByKey(&source->mem);
-        sources.push_back(std::move(source));
-        total += static_cast<size_t>(bucket.records);
-      }
-    }
-    for (size_t i = 0; i < sources.size(); ++i) {
-      sources[i]->index = i;
-      if (!AdvanceSource(sources[i].get(), &gs.error)) {
-        if (!gs.error.empty()) return {};
-      }
-    }
-    const auto after = [](const MergeSource* a, const MergeSource* b) {
-      // True when `a` pops after `b`: larger key, or equal key from a later
-      // source (the stability tie-break).
-      if (b->current.first < a->current.first) return true;
-      if (a->current.first < b->current.first) return false;
-      return a->index > b->index;
+   private:
+    // One sorted stream: a spilled segment (chunked positioned reads) or a
+    // task's in-memory records under their sorted index. `key` is the raw
+    // key of the stream's next record.
+    struct MergeSource {
+      std::unique_ptr<SpillSegmentReader> reader;
+      std::vector<IndexEntry> index;
+      size_t next = 0;
+      size_t order = 0;
+      RawKey key{};
     };
-    std::priority_queue<MergeSource*, std::vector<MergeSource*>,
-                        decltype(after)>
-        heap(after);
-    for (const auto& source : sources) {
-      if (source->has) heap.push(source.get());
-    }
-    pairs.reserve(total);
-    while (!heap.empty()) {
-      MergeSource* source = heap.top();
-      heap.pop();
-      pairs.push_back(std::move(source->current));
-      if (AdvanceSource(source, &gs.error)) {
-        heap.push(source);
-      } else if (!gs.error.empty()) {
-        return {};
-      }
-    }
-    return pairs;
-  }
 
-  // Invokes fn(key, &values) once per distinct key of the sorted `pairs`,
-  // in key order, moving values out. Groups whose first pair sits at or
-  // past `limit` are not visited — the injected-failure cutoff of a
-  // failing reduce attempt.
-  template <typename Fn>
-  static void ForEachGroup(std::vector<KV>* pairs, size_t limit, Fn&& fn) {
-    size_t i = 0;
-    while (i < pairs->size()) {
-      if (i >= limit) break;
-      size_t j = i;
-      while (j < pairs->size() &&
-             !((*pairs)[i].first < (*pairs)[j].first)) {
-        ++j;
+    // True when `a` pops after `b`: larger key, or equal key from a later
+    // source (the stability tie-break).
+    struct After {
+      bool operator()(const MergeSource* a, const MergeSource* b) const {
+        if (KvCodec<K>::RawLess(b->key, a->key)) return true;
+        if (KvCodec<K>::RawLess(a->key, b->key)) return false;
+        return a->order > b->order;
       }
-      std::vector<V> values;
-      values.reserve(j - i);
-      for (size_t k = i; k < j; ++k) {
-        values.push_back(std::move((*pairs)[k].second));
-      }
-      fn((*pairs)[i].first, &values);
-      i = j;
-    }
-  }
+    };
 
- private:
-  // One sorted stream feeding the k-way merge: a spill segment (buffered
-  // file reads) or a task's decoded in-memory tail.
-  struct MergeSource {
-    std::unique_ptr<SpillSegmentReader> reader;
-    std::vector<KV> mem;
-    size_t mem_pos = 0;
-    size_t index = 0;
-    KV current;
-    bool has = false;
-  };
-
-  // Pulls the next record into source->current. False at end of stream or
-  // on error (`*error` then labels the corrupt/unreadable spill).
-  static bool AdvanceSource(MergeSource* source, std::string* error) {
-    if (source->reader == nullptr) {
-      if (source->mem_pos >= source->mem.size()) {
-        source->has = false;
-        return false;
-      }
-      source->current = std::move(source->mem[source->mem_pos++]);
-      source->has = true;
+    // Decodes the next record of the heap's sources into `*out`. False at
+    // the end, or on error.
+    bool Next(KV* out) {
+      if (!stats_.error.empty() || heap_.empty()) return false;
+      MergeSource* source = heap_.top();
+      heap_.pop();
+      if (!Take(source, out)) return false;
+      // `*out` is whole even when the source's next key fails to parse;
+      // that error ends the merge at the next call.
+      if (Peek(source)) heap_.push(source);
       return true;
     }
-    SpillSegmentReader& reader = *source->reader;
-    for (;;) {
-      const std::string_view window = reader.window();
-      size_t offset = 0;
-      K key;
-      V value;
-      if (KvCodec<K>::Decode(window, &offset, &key) &&
-          KvCodec<V>::Decode(window, &offset, &value)) {
-        reader.Consume(offset);
-        source->current = KV(std::move(key), std::move(value));
-        source->has = true;
+
+    // Points source->key at the raw key of the next record. False at the
+    // end of the stream, or on error.
+    bool Peek(MergeSource* source) {
+      if (source->reader == nullptr) {
+        if (source->next == source->index.size()) return false;
+        source->key = source->index[source->next].key;
         return true;
       }
-      // A failed decode mid-window means the record straddles the chunk
-      // boundary: refill and retry. At end of segment, leftover bytes (or
-      // an I/O error) mean corruption.
-      if (!reader.Refill()) {
-        source->has = false;
-        if (!reader.ok()) {
-          *error = "spill read failed";
-        } else if (!reader.window().empty()) {
-          *error = "corrupt spill record";
+      SpillSegmentReader& reader = *source->reader;
+      for (;;) {
+        size_t offset = 0;
+        if (KvCodec<K>::ParseRaw(reader.window(), &offset, &source->key)) {
+          return true;
         }
-        return false;
+        // A key cut by the chunk boundary: refill and retry. At the end of
+        // the segment, leftover bytes (or an I/O error) mean corruption.
+        if (!reader.Refill()) {
+          if (!reader.ok()) {
+            stats_.error = "spill read failed";
+          } else if (!reader.window().empty()) {
+            stats_.error = "corrupt spill record";
+          }
+          return false;
+        }
       }
     }
-  }
 
-  // Decodes every record of a bucket's block chain, appending to `*pairs`.
-  // Blocks end at record boundaries, so a failed decode is a logic error
-  // surfaced through `*error` rather than silently dropped data.
-  void DecodeBucket(const typename MapOutput::Bucket& bucket,
-                    std::vector<KV>* pairs, std::string* error) const {
-    pairs->reserve(pairs->size() + static_cast<size_t>(bucket.records));
+    // Decodes the record Peek found into `*out` — its one decode — and
+    // moves past it. False on error.
+    bool Take(MergeSource* source, KV* out) {
+      if (source->reader == nullptr) {
+        const IndexEntry& entry = source->index[source->next++];
+        const std::string_view record(entry.data, entry.size);
+        size_t offset = 0;
+        if (KvCodec<K>::Decode(record, &offset, &out->first) &&
+            KvCodec<V>::Decode(record, &offset, &out->second) &&
+            offset == record.size()) {
+          return true;
+        }
+        stats_.error = "corrupt in-memory shuffle block";
+        return false;
+      }
+      SpillSegmentReader& reader = *source->reader;
+      for (;;) {
+        const std::string_view window = reader.window();
+        size_t offset = 0;
+        if (KvCodec<K>::Decode(window, &offset, &out->first) &&
+            KvCodec<V>::Decode(window, &offset, &out->second)) {
+          reader.Consume(offset);
+          return true;
+        }
+        // The value runs past the chunk: refill and retry.
+        if (!reader.Refill()) {
+          stats_.error =
+              reader.ok() ? "corrupt spill record" : "spill read failed";
+          return false;
+        }
+      }
+    }
+
+    std::vector<MergeSource> sources_;
+    std::priority_queue<MergeSource*, std::vector<MergeSource*>, After> heap_;
+    // The decoded, sorted partition when nothing of it was spilled.
+    std::vector<KV> memory_;
+    size_t records_ = 0;
+    GatherStats stats_;
+  };
+
+ private:
+  using Bucket = typename MapOutput::Bucket;
+
+  // Decodes every record of `bucket`, appending to `*pairs`. Blocks end at
+  // record boundaries, so a failed decode is a logic error.
+  static bool DecodeBucket(const Bucket& bucket, std::vector<KV>* pairs) {
     for (const std::string& block : bucket.blocks) {
       const std::string_view view(block);
       size_t offset = 0;
       while (offset < view.size()) {
-        K key;
-        V value;
-        if (!KvCodec<K>::Decode(view, &offset, &key) ||
-            !KvCodec<V>::Decode(view, &offset, &value)) {
-          *error = "corrupt in-memory shuffle block";
-          return;
+        KV& kv = pairs->emplace_back();
+        if (!KvCodec<K>::Decode(view, &offset, &kv.first) ||
+            !KvCodec<V>::Decode(view, &offset, &kv.second)) {
+          return false;
         }
-        pairs->emplace_back(std::move(key), std::move(value));
       }
     }
+    return true;
   }
 
-  // Stable sort by key: equal keys keep their emission order. Shared by
-  // the spill writer and the reduce-side gather.
-  static void SortByKey(std::vector<KV>* pairs) {
-    std::stable_sort(pairs->begin(), pairs->end(),
-                     [](const KV& a, const KV& b) {
-                       return a.first < b.first;
-                     });
-  }
-
-  static int64_t BucketBytes(const typename MapOutput::Bucket& bucket) {
-    int64_t bytes = 0;
-    for (const std::string& block : bucket.blocks) {
-      bytes += static_cast<int64_t>(block.size());
+  // Appends one index entry per record of `bucket`, in emission order.
+  // False when a key does not parse — a logic error, since Add wrote the
+  // bytes.
+  static bool IndexBucket(const Bucket& bucket,
+                          std::vector<IndexEntry>* index) {
+    size_t block = 0;
+    size_t offset = 0;
+    for (const uint32_t size : bucket.sizes) {
+      if (offset == bucket.blocks[block].size()) {
+        ++block;
+        offset = 0;
+      }
+      const std::string_view record(bucket.blocks[block].data() + offset,
+                                    size);
+      IndexEntry entry{RawKey{}, record.data(), size};
+      size_t at = 0;
+      if (!KvCodec<K>::ParseRaw(record, &at, &entry.key)) return false;
+      index->push_back(entry);
+      offset += size;
     }
-    return bytes;
+    return true;
+  }
+
+  // Stable sort by raw key: equal keys keep their emission order. Shared by
+  // the spill writer and the reduce-side merge.
+  static void SortIndex(std::vector<IndexEntry>* index) {
+    std::stable_sort(index->begin(), index->end(),
+                     [](const IndexEntry& a, const IndexEntry& b) {
+                       return KvCodec<K>::RawLess(a.key, b.key);
+                     });
   }
 
   int num_partitions_;

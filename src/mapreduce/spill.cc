@@ -1,18 +1,83 @@
 #include "mapreduce/spill.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <system_error>
+#include <utility>
 
 #include "mapreduce/serde.h"
 
 namespace progres {
 
 namespace fs = std::filesystem;
+
+SpillFile::SpillFile(std::string path) : path_(std::move(path)) {
+  fd_ = ::open(path_.c_str(), O_RDWR | O_CREAT | O_TRUNC | O_CLOEXEC, 0600);
+}
+
+SpillFile::~SpillFile() {
+  if (fd_ < 0) return;
+  ::close(fd_);
+  ::unlink(path_.c_str());
+}
+
+bool SpillFile::Append(std::string_view bytes) {
+  const char* data = bytes.data();
+  size_t left = bytes.size();
+  int64_t at = end_;
+  while (left > 0) {
+    const ssize_t wrote = ::pwrite(fd_, data, left, static_cast<off_t>(at));
+    if (wrote < 0 && errno == EINTR) continue;
+    if (wrote <= 0) {
+      // Drop the partial tail so a retry appends at the same offset.
+      (void)::ftruncate(fd_, static_cast<off_t>(end_));
+      return false;
+    }
+    data += wrote;
+    left -= static_cast<size_t>(wrote);
+    at += wrote;
+  }
+  end_ = at;
+  return true;
+}
+
+bool SpillFile::ReadAt(int64_t offset, char* out, size_t n) const {
+  while (n > 0) {
+    const ssize_t got = ::pread(fd_, out, n, static_cast<off_t>(offset));
+    if (got < 0 && errno == EINTR) continue;
+    if (got <= 0) return false;  // error, or end of file before n bytes
+    out += got;
+    n -= static_cast<size_t>(got);
+    offset += got;
+  }
+  return true;
+}
+
+int64_t SpillFile::SizeOnDisk() const {
+  struct stat st;
+  if (::fstat(fd_, &st) != 0) return -1;
+  return static_cast<int64_t>(st.st_size);
+}
+
+bool SpillFile::Truncate(int64_t bytes) {
+  return ::ftruncate(fd_, static_cast<off_t>(std::max<int64_t>(0, bytes))) ==
+         0;
+}
+
+bool SpillFile::FlipByte(int64_t offset) {
+  char byte = 0;
+  if (!ReadAt(offset, &byte, 1)) return false;
+  byte = static_cast<char>(byte ^ 0x40);
+  return ::pwrite(fd_, &byte, 1, static_cast<off_t>(offset)) == 1;
+}
 
 std::string ResolveSpillDir(const std::string& dir, std::string* error) {
   std::error_code ec;
@@ -52,101 +117,48 @@ std::string NextSpillPath(const std::string& dir, int task, int attempt) {
   return (fs::path(dir) /
           ("progres-spill-" + std::to_string(::getpid()) + "-" +
            std::to_string(n) + "-map" + std::to_string(task) + "-a" +
-           std::to_string(attempt) + ".run"))
+           std::to_string(attempt) + ".spill"))
       .string();
 }
 
-bool WriteSpillRun(const std::string& path,
-                   const std::vector<std::string>& partitions,
-                   const std::vector<int64_t>& records_per_partition,
-                   SpillRun* run) {
-  run->path = path;
-  run->segments.clear();
-  run->segments.reserve(partitions.size());
+bool AppendSpillRun(const std::shared_ptr<SpillFile>& file,
+                    std::string_view bytes,
+                    std::vector<SpillSegment> segments, SpillRun* run) {
+  run->file = file;
+  run->offset = file->end();
   run->records = 0;
-  run->bytes = 0;
-  run->crc = 0;
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return false;
-  int64_t offset = 0;
-  for (size_t r = 0; r < partitions.size(); ++r) {
-    const std::string& payload = partitions[r];
-    if (!payload.empty() &&
-        !out.write(payload.data(),
-                   static_cast<std::streamsize>(payload.size()))) {
-      RemoveSpillFile(path);
-      return false;
-    }
-    run->crc = Crc32(payload, run->crc);
-    SpillSegment segment;
-    segment.offset = offset;
-    segment.bytes = static_cast<int64_t>(payload.size());
-    segment.records = records_per_partition[r];
-    run->segments.push_back(segment);
-    offset += segment.bytes;
+  for (SpillSegment& segment : segments) {
+    segment.offset += run->offset;
     run->records += segment.records;
-    run->bytes += segment.bytes;
   }
-  out.flush();
-  if (!out) {
-    RemoveSpillFile(path);
-    return false;
-  }
-  return true;
+  run->segments = std::move(segments);
+  run->bytes = static_cast<int64_t>(bytes.size());
+  run->crc = Crc32(bytes);
+  return file->Append(bytes);
 }
 
-void RemoveSpillFile(const std::string& path) {
-  std::error_code ec;
-  fs::remove(path, ec);
-}
-
-bool ValidateSpillRun(const SpillRun& run) {
-  std::ifstream in(run.path, std::ios::binary);
-  if (!in) return false;
+bool ValidateSpillRun(const SpillRun& run, bool last_in_file) {
+  const SpillFile& file = *run.file;
   uint32_t crc = 0;
-  int64_t bytes = 0;
   char buffer[1 << 16];
-  while (in.read(buffer, sizeof(buffer)) || in.gcount() > 0) {
-    const std::streamsize got = in.gcount();
-    crc = Crc32(std::string_view(buffer, static_cast<size_t>(got)), crc);
-    bytes += got;
-    if (bytes > run.bytes) return false;  // overlong file: not what we wrote
-    if (in.eof()) break;
-    if (!in) return false;
+  for (int64_t done = 0; done < run.bytes;) {
+    const size_t n = static_cast<size_t>(
+        std::min<int64_t>(run.bytes - done, sizeof(buffer)));
+    if (!file.ReadAt(run.offset + done, buffer, n)) return false;
+    crc = Crc32(std::string_view(buffer, n), crc);
+    done += static_cast<int64_t>(n);
   }
-  return bytes == run.bytes && crc == run.crc;
+  if (crc != run.crc) return false;
+  return !last_in_file || file.SizeOnDisk() == run.offset + run.bytes;
 }
 
-bool TruncateSpillFile(const std::string& path, int64_t bytes) {
-  std::error_code ec;
-  fs::resize_file(path, static_cast<uintmax_t>(std::max<int64_t>(0, bytes)),
-                  ec);
-  return !ec;
-}
-
-bool CorruptSpillByte(const std::string& path, int64_t offset) {
-  std::fstream file(path,
-                    std::ios::binary | std::ios::in | std::ios::out);
-  if (!file || !file.seekg(offset)) return false;
-  char byte = 0;
-  if (!file.get(byte)) return false;
-  byte = static_cast<char>(byte ^ 0x40);
-  if (!file.seekp(offset) || !file.put(byte)) return false;
-  file.flush();
-  return static_cast<bool>(file);
-}
-
-SpillSegmentReader::SpillSegmentReader(const std::string& path,
+SpillSegmentReader::SpillSegmentReader(const SpillFile& file,
                                        const SpillSegment& segment,
                                        size_t chunk_bytes)
-    : file_(path, std::ios::binary),
+    : file_(&file),
+      next_(segment.offset),
       remaining_(segment.bytes),
-      chunk_bytes_(chunk_bytes > 0 ? chunk_bytes : 1) {
-  if (!file_ || !file_.seekg(segment.offset)) {
-    ok_ = false;
-    remaining_ = 0;
-  }
-}
+      chunk_bytes_(chunk_bytes > 0 ? chunk_bytes : 1) {}
 
 bool SpillSegmentReader::Refill() {
   if (!ok_ || remaining_ == 0) return false;
@@ -160,13 +172,13 @@ bool SpillSegmentReader::Refill() {
       std::min<int64_t>(remaining_, static_cast<int64_t>(chunk_bytes_)));
   const size_t old_size = buffer_.size();
   buffer_.resize(old_size + want);
-  if (!file_.read(buffer_.data() + old_size,
-                  static_cast<std::streamsize>(want))) {
+  if (!file_->ReadAt(next_, buffer_.data() + old_size, want)) {
     buffer_.resize(old_size);
     ok_ = false;
     remaining_ = 0;
     return false;
   }
+  next_ += static_cast<int64_t>(want);
   remaining_ -= static_cast<int64_t>(want);
   return true;
 }

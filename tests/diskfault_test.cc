@@ -13,6 +13,8 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -140,10 +142,13 @@ std::vector<std::string> WordLines(int lines) {
 
 using WordJob = MapReduceJob<std::string, std::string, int64_t>;
 
-WordJob::Result RunWordCount(const ClusterConfig& cluster) {
+// `on_reduce`, when set, runs before every reduce call: after the map
+// barrier, while every spill file is still in place.
+WordJob::Result RunWordCount(const ClusterConfig& cluster, int lines = 400,
+                             const std::function<void()>& on_reduce = {}) {
   WordJob job(4, 3);
   return job.Run(
-      WordLines(400),
+      WordLines(lines),
       [](const std::string& line, WordJob::MapContext* ctx) {
         size_t start = 0;
         while (start < line.size()) {
@@ -153,8 +158,9 @@ WordJob::Result RunWordCount(const ClusterConfig& cluster) {
           start = end + 1;
         }
       },
-      [](const std::string& key, std::vector<int64_t>* values,
-         WordJob::ReduceContext* ctx) {
+      [&](const std::string& key, std::vector<int64_t>* values,
+          WordJob::ReduceContext* ctx) {
+        if (on_reduce) on_reduce();
         int64_t sum = 0;
         for (int64_t v : *values) sum += v;
         ctx->Emit(key, sum);
@@ -276,6 +282,100 @@ TEST(SpillDiskFaultTest, CorruptRunsRerunMapTasksThreaded) {
   CheckCorruptRunsRerunMaps(ExecutionBackend::kThreaded);
 }
 
+// A torn write or a flipped byte in a run that is not its task's last —
+// the flipped run shares its file with later runs, the torn one ends its
+// file and the next run opens another — must be detected exactly once:
+// one corrupt run, one map re-run, and every other run still validates.
+
+constexpr int kMidFileLines = 2000;
+
+// Spill runs per map task of the fault-free forced-spill job.
+std::vector<int> SpillRunsPerTask() {
+  TraceRecorder trace;
+  ClusterConfig cluster = TestCluster(ExecutionBackend::kSimulated);
+  cluster.shuffle_budget = TinySpillBudget();
+  cluster.trace = &trace;
+  const WordJob::Result result = RunWordCount(cluster, kMidFileLines);
+  EXPECT_FALSE(result.failed) << result.error;
+  std::vector<int> runs(4, 0);
+  for (const TraceSpan& span : trace.spans()) {
+    if (span.kind == SpanKind::kSpillWrite) {
+      ++runs[static_cast<size_t>(span.task)];
+    }
+  }
+  return runs;
+}
+
+// The fault config whose plan tears (or, with `torn` false, corrupts)
+// exactly one run of the tasks' first executions, at a run that is not its
+// task's last, and spares the re-run of that task; the seed is searched
+// from the plan itself.
+FaultConfig FaultOnceMidTask(const std::vector<int>& runs, bool torn) {
+  FaultConfig config;
+  config.enabled = true;
+  (torn ? config.spill_torn_write_prob : config.spill_corrupt_prob) = 0.02;
+  for (config.seed = 1; config.seed < 100000; ++config.seed) {
+    const FaultPlan plan(config);
+    const auto fires = [&](int task, int run, int generation) {
+      return torn ? plan.SpillTornWrite(task, run, generation)
+                  : plan.SpillCorrupted(task, run, generation);
+    };
+    int hits = 0;
+    int task = -1;
+    int run = -1;
+    for (int t = 0; t < static_cast<int>(runs.size()); ++t) {
+      for (int r = 0; r < runs[static_cast<size_t>(t)]; ++r) {
+        if (!fires(t, r, 0)) continue;
+        ++hits;
+        task = t;
+        run = r;
+      }
+    }
+    if (hits != 1 || run + 1 >= runs[static_cast<size_t>(task)]) continue;
+    bool rerun_clean = true;
+    for (int r = 0; r < runs[static_cast<size_t>(task)]; ++r) {
+      if (fires(task, r, 1)) rerun_clean = false;
+    }
+    if (rerun_clean) return config;
+  }
+  ADD_FAILURE() << "no seed faults exactly one mid-task run";
+  return config;
+}
+
+void CheckMidFileFaultDetectedOnce(ExecutionBackend backend, bool torn) {
+  const std::vector<int> runs = SpillRunsPerTask();
+  for (const int r : runs) ASSERT_GE(r, 2) << "every task must spill twice";
+  const WordJob::Result baseline =
+      RunWordCount(TestCluster(backend), kMidFileLines);
+  ASSERT_FALSE(baseline.failed) << baseline.error;
+
+  ClusterConfig cluster = TestCluster(backend);
+  cluster.shuffle_budget = TinySpillBudget();
+  cluster.fault = FaultOnceMidTask(runs, torn);
+  const WordJob::Result result = RunWordCount(cluster, kMidFileLines);
+  ASSERT_FALSE(result.failed) << result.error;
+  EXPECT_EQ(DumpData(baseline), DumpData(result));
+  EXPECT_EQ(result.counters.Get("mr.disk.corrupt_runs"), 1);
+  EXPECT_EQ(result.counters.Get("mr.disk.map_reruns"), 1);
+  EXPECT_EQ(result.counters.Get("mr.disk.torn_writes"), torn ? 1 : 0);
+}
+
+TEST(SpillDiskFaultTest, TornRunMidTaskDetectedOnceSimulated) {
+  CheckMidFileFaultDetectedOnce(ExecutionBackend::kSimulated, true);
+}
+
+TEST(SpillDiskFaultTest, TornRunMidTaskDetectedOnceThreaded) {
+  CheckMidFileFaultDetectedOnce(ExecutionBackend::kThreaded, true);
+}
+
+TEST(SpillDiskFaultTest, FlippedByteMidFileDetectedOnceSimulated) {
+  CheckMidFileFaultDetectedOnce(ExecutionBackend::kSimulated, false);
+}
+
+TEST(SpillDiskFaultTest, FlippedByteMidFileDetectedOnceThreaded) {
+  CheckMidFileFaultDetectedOnce(ExecutionBackend::kThreaded, false);
+}
+
 TEST(SpillDiskFaultTest, BackendsAgreeUnderDiskFaults) {
   // Fault decisions are pure functions of the config, so the threaded run
   // must match the simulated one including the simulated timeline.
@@ -347,6 +447,63 @@ TEST(SpillDiskFaultTest, EnospcFailsOverToFallbackDir) {
   EXPECT_EQ(CountEntries(dirs.fallback), 0);
   std::filesystem::remove_all(dirs.primary);
   std::filesystem::remove_all(dirs.fallback);
+}
+
+// A fail-over starts a new file in the fallback dir. With no write
+// retries, a task whose first primary write fails never creates a primary
+// file; every other task has one, and each fail-over adds one fallback
+// file. Counted during the reduce phase; both dirs are empty after.
+void CheckFailOverStartsOneNewFile(ExecutionBackend backend) {
+  const WordJob::Result baseline =
+      RunWordCount(TestCluster(backend), kMidFileLines);
+  const SpillDirs dirs = MakeSpillDirs("progres_diskfault_layout");
+
+  ClusterConfig cluster = TestCluster(backend);
+  cluster.shuffle_budget = TinySpillBudget();
+  cluster.shuffle_budget.spill_dir = dirs.primary.string();
+  cluster.shuffle_budget.fallback_spill_dir = dirs.fallback.string();
+  cluster.fault.enabled = true;
+  cluster.fault.seed = 3;
+  cluster.fault.spill_write_error_prob = 0.1;
+  cluster.fault.max_spill_retries = 0;
+  std::mutex mu;
+  std::vector<std::pair<int, int>> seen;  // (primary, fallback) files
+  const WordJob::Result result = RunWordCount(cluster, kMidFileLines, [&] {
+    const std::pair<int, int> files(CountEntries(dirs.primary),
+                                    CountEntries(dirs.fallback));
+    const std::lock_guard<std::mutex> lock(mu);
+    seen.push_back(files);
+  });
+  ASSERT_FALSE(result.failed) << result.error;
+  EXPECT_EQ(DumpData(baseline), DumpData(result));
+
+  const FaultPlan plan(cluster.fault);
+  int primary = 0;
+  for (int t = 0; t < 4; ++t) {
+    if (!plan.SpillWriteError(t, 0, 0, 0)) ++primary;
+  }
+  const int failovers =
+      static_cast<int>(result.counters.Get("mr.disk.dir_failovers"));
+  // The seed must exercise a task that wrote a primary file before failing
+  // over, so that some task holds two files.
+  EXPECT_GT(primary + failovers, 4);
+  ASSERT_FALSE(seen.empty());
+  for (const auto& [primary_files, fallback_files] : seen) {
+    EXPECT_EQ(primary_files, primary);
+    EXPECT_EQ(fallback_files, failovers);
+  }
+  EXPECT_EQ(CountEntries(dirs.primary), 0);
+  EXPECT_EQ(CountEntries(dirs.fallback), 0);
+  std::filesystem::remove_all(dirs.primary);
+  std::filesystem::remove_all(dirs.fallback);
+}
+
+TEST(SpillDiskFaultTest, FailOverStartsOneNewFileSimulated) {
+  CheckFailOverStartsOneNewFile(ExecutionBackend::kSimulated);
+}
+
+TEST(SpillDiskFaultTest, FailOverStartsOneNewFileThreaded) {
+  CheckFailOverStartsOneNewFile(ExecutionBackend::kThreaded);
 }
 
 TEST(SpillDiskFaultTest, EnospcWithoutFallbackFailsWithALabel) {

@@ -205,6 +205,37 @@ TEST(GoldenScheduleTest, MatchesFrozenFixture) {
       << "generated schedules diverged from tests/golden/schedule.golden";
 }
 
+// Byte-identical budgeted runs: the progressive driver under a per-task
+// cost budget of 1500, per-block and per-tree emission, on the golden
+// workload and its mega-block variant. The budget leaves live blocks with
+// no scheduled unit at or below them, so the resolution map's block walks
+// stop early there; every header must count some, or the fixture would not
+// pin that early stop. Regenerate with `make_er_golden tests/golden` only
+// for intentional output changes.
+TEST(GoldenBudgetTest, MatchesFrozenFixture) {
+  if (testing_util::DiskFaultOverlayActive()) {
+    GTEST_SKIP() << "fixtures frozen without the disk-fault overlay";
+  }
+  std::ifstream in(
+      std::string(PROGRES_GOLDEN_DIR) + "/progressive_budget.golden",
+      std::ios::binary);
+  ASSERT_TRUE(in.is_open()) << "missing budget fixture";
+  std::stringstream frozen;
+  frozen << in.rdbuf();
+  const std::string text = frozen.str();
+  int runs = 0;
+  const std::string field = " unscheduled_live_blocks=";
+  for (size_t at = text.find(field); at != std::string::npos;
+       at = text.find(field, at + 1)) {
+    ++runs;
+    EXPECT_GT(std::stoll(text.substr(at + field.size())), 0)
+        << "budgeted run " << runs << " leaves every live block scheduled";
+  }
+  EXPECT_EQ(runs, 4);
+  EXPECT_TRUE(testing_util::GoldenBudgetDump() == text)
+      << "budgeted runs diverged from tests/golden/progressive_budget.golden";
+}
+
 // The drivers price every emitted pair into their own "shuffle.bytes"
 // counter with a formula that shares no code with the KvCodec encoding;
 // the runtime's "mr.shuffle.bytes" counts the encoded bytes the shuffle

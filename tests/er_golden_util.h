@@ -11,6 +11,7 @@
 // diffs against them byte for byte. `schedule.golden` freezes the
 // generated schedules the same way.
 
+#include <cstdint>
 #include <cstdio>
 #include <map>
 #include <string>
@@ -304,6 +305,74 @@ inline std::string GoldenScheduleDump() {
         out += pre.failed ? "failed " + pre.error + "\n"
                           : DumpSchedule(pre.schedule);
       }
+    }
+  }
+  return out;
+}
+
+// Live blocks with no scheduled unit at or below them in the block
+// hierarchy. The resolution map stops an entity's walk at such a block:
+// nothing on the chain below it can emit.
+inline int64_t UnscheduledLiveBlocks(
+    const std::vector<AnnotatedForest>& forests,
+    const ProgressiveSchedule& schedule) {
+  int64_t count = 0;
+  for (size_t f = 0; f < forests.size(); ++f) {
+    const AnnotatedForest& forest = forests[f];
+    std::vector<char> marked(static_cast<size_t>(forest.num_blocks()), 0);
+    for (const auto& [key, sqs] : schedule.unit_sequences) {
+      if ((key >> 32) != f) continue;
+      for (int n = static_cast<int>(key & 0xffffffffULL);
+           n >= 0 && !marked[static_cast<size_t>(n)];
+           n = forest.block(n).parent) {
+        marked[static_cast<size_t>(n)] = 1;
+      }
+    }
+    for (int n = 0; n < forest.num_blocks(); ++n) {
+      if (!forest.block(n).eliminated && !marked[static_cast<size_t>(n)]) {
+        ++count;
+      }
+    }
+  }
+  return count;
+}
+
+// The frozen budget fixture (tests/golden/progressive_budget.golden): the
+// progressive driver with a per-task cost budget of 1500 on the golden
+// workload and its 30% mega-block variant (8 machines), per-block and
+// per-tree emission. Each run's header counts the live blocks and those
+// without a scheduled unit at or below them, whose entities' block walks
+// end there.
+inline std::string GoldenBudgetDump() {
+  const SortedNeighborMechanism sn;
+  std::string out;
+  for (const int mega_percent : {0, 30}) {
+    const GoldenWorkload w = MakeGoldenWorkload(mega_percent / 100.0);
+    const ProbabilityModel prob =
+        ProbabilityModel::Train(w.train.dataset, w.train.truth, w.blocking);
+    for (const MapEmission emission :
+         {MapEmission::kPerBlock, MapEmission::kPerTree}) {
+      ProgressiveErOptions options;
+      options.cluster = GoldenCluster();
+      if (mega_percent > 0) options.cluster.machines = 8;
+      ApplyTestOverlays(&options.cluster);
+      options.per_task_cost_budget = 1500.0;
+      options.map_emission = emission;
+      const ProgressiveEr er(w.blocking, w.match, sn, prob, options);
+      const ProgressiveEr::Preprocessed pre = er.Preprocess(w.data.dataset);
+      int64_t live = 0;
+      for (const AnnotatedForest& forest : pre.forests) {
+        for (int n = 0; n < forest.num_blocks(); ++n) {
+          if (!forest.block(n).eliminated) ++live;
+        }
+      }
+      out += "run mega=" + std::to_string(mega_percent) + "% emission=" +
+             (emission == MapEmission::kPerTree ? "pertree" : "perblock") +
+             " budget=1500 live_blocks=" + std::to_string(live) +
+             " unscheduled_live_blocks=" +
+             std::to_string(UnscheduledLiveBlocks(pre.forests, pre.schedule)) +
+             "\n";
+      out += DumpErRunResult(er.Run(w.data.dataset), w.data.truth);
     }
   }
   return out;

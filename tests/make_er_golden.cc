@@ -32,7 +32,9 @@ int main(int argc, char** argv) {
     if (!write(name, progres::testing_util::RunGoldenDriver(name))) return 1;
   }
   if (!write("trace_progressive", progres::testing_util::GoldenTraceJson()) ||
-      !write("schedule", progres::testing_util::GoldenScheduleDump())) {
+      !write("schedule", progres::testing_util::GoldenScheduleDump()) ||
+      !write("progressive_budget",
+             progres::testing_util::GoldenBudgetDump())) {
     return 1;
   }
   return 0;

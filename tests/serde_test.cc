@@ -1,7 +1,10 @@
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -258,6 +261,200 @@ TEST(KvCodecTest, RandomKvStreamRoundTrip) {
     }
     EXPECT_FALSE(ok) << "cut at " << cut;
   }
+}
+
+// ---- Raw key order: sorting and merging encoded keys ----
+
+// Encodes `keys` and checks the raw order against the decoded one on every
+// ordered pair: RawLess must equal decode-then-operator<, and raw equality
+// (neither handle RawLess than the other) must equal ==. ParseRaw must
+// consume exactly the encoded key, and fail on every truncation exactly
+// where Decode does.
+template <typename K>
+void ExpectRawOrderMatchesDecoded(const std::vector<K>& keys) {
+  using Codec = KvCodec<K>;
+  std::vector<std::string> encoded(keys.size());
+  std::vector<typename Codec::RawKey> raw(keys.size());
+  std::vector<K> decoded(keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    Codec::Encode(keys[i], &encoded[i]);
+    size_t offset = 0;
+    ASSERT_TRUE(Codec::ParseRaw(encoded[i], &offset, &raw[i])) << i;
+    EXPECT_EQ(offset, encoded[i].size()) << i;
+    offset = 0;
+    ASSERT_TRUE(Codec::Decode(encoded[i], &offset, &decoded[i])) << i;
+    for (size_t cut = 0; cut < encoded[i].size(); ++cut) {
+      const std::string_view clipped(encoded[i].data(), cut);
+      size_t raw_at = 0;
+      size_t decode_at = 0;
+      typename Codec::RawKey raw_key{};
+      K key{};
+      EXPECT_EQ(Codec::ParseRaw(clipped, &raw_at, &raw_key),
+                Codec::Decode(clipped, &decode_at, &key))
+          << "key " << i << " cut at " << cut;
+    }
+  }
+  for (size_t i = 0; i < keys.size(); ++i) {
+    for (size_t j = 0; j < keys.size(); ++j) {
+      EXPECT_EQ(Codec::RawLess(raw[i], raw[j]), decoded[i] < decoded[j])
+          << "keys " << i << " and " << j;
+      const bool raw_equal =
+          !Codec::RawLess(raw[i], raw[j]) && !Codec::RawLess(raw[j], raw[i]);
+      EXPECT_EQ(raw_equal, decoded[i] == decoded[j])
+          << "keys " << i << " and " << j;
+    }
+  }
+}
+
+// Stable-sorting an index of encoded keys by the raw order must give the
+// permutation std::stable_sort gives the decoded keys: equal keys keep
+// their input order, which the shuffle relies on for value order.
+template <typename K>
+void ExpectRawIndexSortMatchesDecodedSort(const std::vector<K>& keys) {
+  using Codec = KvCodec<K>;
+  std::vector<std::string> encoded(keys.size());
+  std::vector<std::pair<typename Codec::RawKey, size_t>> raw_index;
+  std::vector<std::pair<K, size_t>> decoded_index;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    Codec::Encode(keys[i], &encoded[i]);
+    size_t offset = 0;
+    typename Codec::RawKey raw{};
+    ASSERT_TRUE(Codec::ParseRaw(encoded[i], &offset, &raw));
+    raw_index.emplace_back(raw, i);
+    offset = 0;
+    K key{};
+    ASSERT_TRUE(Codec::Decode(encoded[i], &offset, &key));
+    decoded_index.emplace_back(std::move(key), i);
+  }
+  std::stable_sort(raw_index.begin(), raw_index.end(),
+                   [](const auto& a, const auto& b) {
+                     return Codec::RawLess(a.first, b.first);
+                   });
+  std::stable_sort(
+      decoded_index.begin(), decoded_index.end(),
+      [](const auto& a, const auto& b) { return a.first < b.first; });
+  for (size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(raw_index[i].second, decoded_index[i].second) << "rank " << i;
+  }
+}
+
+std::vector<std::string> AdversarialStrings() {
+  std::vector<std::string> keys = {
+      "",
+      std::string(1, '\0'),
+      std::string(2, '\0'),
+      std::string("\0a", 2),
+      std::string("a\0", 2),
+      std::string("a\0b", 3),
+      "a",
+      "ab",
+      "abc",
+      "abd",
+      "b",
+      "\x7f",
+      "\x80",
+      "\x80\x01",
+      "\xff",
+      "\xff\xff",
+      "a\xff",
+      "a\x80",
+      // Lengths around the varint prefix's 1/2-byte boundary: the order is
+      // over the bytes after the prefix, never the prefix itself.
+      std::string(127, 'a'),
+      std::string(128, 'a'),
+      std::string(129, 'a'),
+      std::string(127, 'b'),
+      std::string(128, '\xff'),
+      std::string(300, '\0'),
+      std::string(16384, 'a'),
+  };
+  return keys;
+}
+
+std::vector<std::string> RandomStrings(uint64_t seed, int count) {
+  // A six-letter alphabet of NUL, low, ASCII, DEL and high bytes over short
+  // lengths yields many equal keys and prefix pairs.
+  const char alphabet[] = {'\0', '\x01', 'a', '\x7f', '\x80', '\xff'};
+  Rng rng(seed);
+  std::vector<std::string> keys;
+  for (int i = 0; i < count; ++i) {
+    std::string key(rng.UniformU64(6), '\0');
+    for (char& c : key) c = alphabet[rng.UniformU64(sizeof(alphabet))];
+    keys.push_back(std::move(key));
+  }
+  return keys;
+}
+
+template <typename T>
+std::vector<T> AdversarialIntegers() {
+  using Limits = std::numeric_limits<T>;
+  // Every negative value travels as a 10-byte varint of its sign-extended
+  // bit pattern; the extremes sit on both sides of the 63-bit boundary.
+  return {Limits::min(),     Limits::min() + 1, -(T{1} << 20), -129, -128,
+          -127,              -2,                -1,            0,    1,
+          2,                 127,               128,           129,  16383,
+          16384,             T{1} << 20,        Limits::max() - 1,
+          Limits::max()};
+}
+
+template <typename T>
+std::vector<T> RandomIntegers(uint64_t seed, int count) {
+  // Random bit patterns shifted down to every width, so every varint length
+  // and both signs appear, plus a small range that repeats values.
+  Rng rng(seed);
+  std::vector<T> keys;
+  for (int i = 0; i < count; ++i) {
+    if (i % 3 == 0) {
+      keys.push_back(static_cast<T>(rng.UniformInt(-4, 4)));
+    } else {
+      keys.push_back(static_cast<T>(rng.NextU64() >> rng.UniformU64(64)));
+    }
+  }
+  return keys;
+}
+
+TEST(RawKeyOrderTest, StringsAgreeWithDecodedOrder) {
+  ExpectRawOrderMatchesDecoded(AdversarialStrings());
+  ExpectRawOrderMatchesDecoded(RandomStrings(170, 400));
+}
+
+TEST(RawKeyOrderTest, IntAgreesWithDecodedOrder) {
+  ExpectRawOrderMatchesDecoded(AdversarialIntegers<int>());
+  ExpectRawOrderMatchesDecoded(RandomIntegers<int>(171, 400));
+}
+
+TEST(RawKeyOrderTest, Int64AgreesWithDecodedOrder) {
+  ExpectRawOrderMatchesDecoded(AdversarialIntegers<int64_t>());
+  ExpectRawOrderMatchesDecoded(RandomIntegers<int64_t>(172, 400));
+}
+
+TEST(RawKeyOrderTest, NegativeKeysTravelAsTenByteVarints) {
+  // The widest encodings must still parse raw and order by value.
+  std::string encoded;
+  KvCodec<int64_t>::Encode(std::numeric_limits<int64_t>::min(), &encoded);
+  EXPECT_EQ(encoded.size(), 10u);
+  size_t offset = 0;
+  int64_t raw = 0;
+  ASSERT_TRUE(KvCodec<int64_t>::ParseRaw(encoded, &offset, &raw));
+  EXPECT_EQ(raw, std::numeric_limits<int64_t>::min());
+  EXPECT_TRUE(KvCodec<int64_t>::RawLess(raw, 0));
+  encoded.clear();
+  KvCodec<int>::Encode(-1, &encoded);
+  EXPECT_EQ(encoded.size(), 10u);
+  offset = 0;
+  int raw_int = 0;
+  ASSERT_TRUE(KvCodec<int>::ParseRaw(encoded, &offset, &raw_int));
+  EXPECT_EQ(raw_int, -1);
+}
+
+TEST(RawKeyOrderTest, StableIndexSortMatchesDecodedStableSort) {
+  std::vector<std::string> strings = AdversarialStrings();
+  for (std::string& key : RandomStrings(173, 600)) strings.push_back(key);
+  ExpectRawIndexSortMatchesDecodedSort(strings);
+  ExpectRawIndexSortMatchesDecodedSort(RandomIntegers<int>(174, 600));
+  std::vector<int64_t> wide = AdversarialIntegers<int64_t>();
+  for (int64_t key : RandomIntegers<int64_t>(175, 600)) wide.push_back(key);
+  ExpectRawIndexSortMatchesDecodedSort(wide);
 }
 
 // ---- FNV-1a: the default partitioner's hash ----

@@ -2,10 +2,13 @@
 // implementation detail. Forcing every map task to spill must leave a job's
 // outputs, user counters, and simulated timeline byte-identical to the
 // all-in-memory run on both backends; the "mr.spill.*" counters must
-// reconcile exactly with the spill-write and spill-merge trace spans; spill
-// run files must be cleaned up; and an unusable budget must fail the job
-// with a labelled error instead of wedging it.
+// reconcile exactly with the spill-write and spill-merge trace spans; each
+// map task must write its runs to one spill file, removed after the job;
+// and an unusable budget must fail the job with a labelled error instead of
+// wedging it.
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -211,6 +214,67 @@ TEST(SpillTest, SpillRunFilesAreDeletedAfterTheJob) {
   }
   EXPECT_EQ(leftovers, 0);
   std::filesystem::remove_all(dir);
+}
+
+// Files in `dir` while the reduce phase runs: every reduce call counts
+// them, after the map barrier and before the job deletes anything, and the
+// smallest and largest counts seen are kept.
+struct ReducePhaseFiles {
+  std::atomic<int> min{1 << 30};
+  std::atomic<int> max{-1};
+};
+
+WordJob::Result RunWordCountCountingFiles(
+    const ClusterConfig& cluster, const std::filesystem::path& dir,
+    ReducePhaseFiles* files) {
+  WordJob job(4, 3);
+  return job.Run(
+      WordLines(2000), WordMap,
+      [&](const std::string& key, std::vector<int64_t>* values,
+          WordJob::ReduceContext* ctx) {
+        int count = 0;
+        for ([[maybe_unused]] const auto& entry :
+             std::filesystem::directory_iterator(dir)) {
+          ++count;
+        }
+        int seen = files->min.load();
+        while (count < seen && !files->min.compare_exchange_weak(seen, count)) {
+        }
+        seen = files->max.load();
+        while (count > seen && !files->max.compare_exchange_weak(seen, count)) {
+        }
+        WordReduce(key, values, ctx);
+      },
+      cluster);
+}
+
+void CheckOneSpillFilePerMapTask(ExecutionBackend backend) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "progres_spill_layout_dir";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+
+  ClusterConfig cluster = TestCluster(backend);
+  cluster.shuffle_budget = TinySpillBudget();
+  cluster.shuffle_budget.spill_dir = dir.string();
+  ReducePhaseFiles files;
+  const WordJob::Result result =
+      RunWordCountCountingFiles(cluster, dir, &files);
+  ASSERT_FALSE(result.failed) << result.error;
+  // All four map tasks spilled, several runs each, into one file apiece.
+  EXPECT_GE(result.counters.Get("mr.spill.runs"), 4 * 3);
+  EXPECT_EQ(files.min.load(), 4);
+  EXPECT_EQ(files.max.load(), 4);
+  EXPECT_TRUE(std::filesystem::is_empty(dir)) << "spill files outlived the job";
+  std::filesystem::remove_all(dir);
+}
+
+TEST(SpillTest, OneSpillFilePerMapTaskSimulated) {
+  CheckOneSpillFilePerMapTask(ExecutionBackend::kSimulated);
+}
+
+TEST(SpillTest, OneSpillFilePerMapTaskThreaded) {
+  CheckOneSpillFilePerMapTask(ExecutionBackend::kThreaded);
 }
 
 // ------------------------------------------------- budget failure modes

@@ -15,13 +15,28 @@ host phase hits both sides alike.
 
 For every end-to-end metric in BENCHMARK.json it prints each side's median
 and quartiles and, for wall metrics, the pairs the change won (ties count
-for neither). The exact metrics and the reference digest must match bit for
-bit across every run of both sides. Exits 1 when a run fails or is not
+for neither) and the verdict of the comparison rule under the metric's
+`bound`:
+
+  gain          the change won at least 9 in 10 pairs and the medians
+                differ, in its favour, by more than the base's IQR;
+  worse         the change's median is worse than the base's by more than
+                `bound` times the base's median;
+  unresolved    either side's IQR exceeds `bound` times its median, and
+                not every change run beats every base run;
+  within bound  otherwise.
+
+A rate (unit 1/s) widens its spread by (t_base / t_change)^2 against the
+seconds it is computed from, so for those the IQR of each side's per-run
+`Run median` seconds is printed too. The verdicts inform; they do not set
+the exit status. The exact metrics and the reference digest must match bit
+for bit across every run of both sides. Exits 1 when a run fails or is not
 `correct`, or when an exact value differs; 0 otherwise.
 """
 
 import argparse
 import json
+import math
 import os
 import re
 import shutil
@@ -35,6 +50,7 @@ from pathlib import Path
 # change that keeps every decision keeps them bit-identical.
 EXACT = ("quality_sim", "sim_makespan_s", "final_recall", "precision")
 REFERENCE = re.compile(r"reference ([0-9a-f]+) \((\d+) pairs\)")
+RUN_MEDIAN = re.compile(r"Run median ([0-9.eE+-]+) s")
 
 
 def git(root, *args):
@@ -43,7 +59,7 @@ def git(root, *args):
 
 
 def run_side(checkout, build_root, args):
-    """One perfbench process; returns (metrics, correct, reference)."""
+    """One perfbench process; returns (metrics, correct, reference, run_s)."""
     env = dict(os.environ, CARGO_TARGET_DIR=str(build_root))
     proc = subprocess.run(
         [sys.executable, str(checkout / "perfbench" / "run.py"),
@@ -58,9 +74,11 @@ def run_side(checkout, build_root, args):
         raise SystemExit(f"perf_pairs: {checkout} printed no result line "
                          f"(exit {proc.returncode})")
     match = REFERENCE.search(proc.stdout)
+    run_s = RUN_MEDIAN.search(proc.stdout)
     metrics = {name: m["value"] for name, m in result["metrics"].items()}
     correct = proc.returncode == 0 and result.get("correct") is True
-    return metrics, correct, match.groups() if match else None
+    return (metrics, correct, match.groups() if match else None,
+            float(run_s.group(1)) if run_s else None)
 
 
 def quartiles(values):
@@ -68,6 +86,25 @@ def quartiles(values):
         return values[0], values[0], values[0]
     q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q1, q2, q3
+
+
+def verdict(base, change, direction, bound):
+    """The comparison rule for one metric over interleaved pairs."""
+    sign = 1 if direction == "lower" else -1
+    wins = sum(1 for b, c in zip(base, change) if sign * (b - c) > 0)
+    b_q1, b_med, b_q3 = quartiles(base)
+    c_q1, c_med, c_q3 = quartiles(change)
+    if (wins >= math.ceil(0.9 * len(base)) and
+            sign * (b_med - c_med) > b_q3 - b_q1):
+        return "gain"
+    if sign * (c_med - b_med) > bound * abs(b_med):
+        return "worse"
+    spread = max((q3 - q1) / abs(med) if med else 0.0
+                 for q1, med, q3 in ((b_q1, b_med, b_q3), (c_q1, c_med, c_q3)))
+    sweep = all(sign * (b - c) > 0 for b in base for c in change)
+    if spread > bound and not sweep:
+        return "unresolved"
+    return "within bound"
 
 
 def main():
@@ -87,6 +124,8 @@ def main():
     base_sha = git(root, "rev-parse", "--verify", args.base + "^{commit}")
     spec = json.loads((root / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bound = {m["name"]: m["bound"] for m in spec["end_to_end"]}
+    unit = {m["name"]: m["unit"] for m in spec["end_to_end"]}
 
     tmp = Path(tempfile.mkdtemp(prefix="perf_pairs-"))
     base_tree = tmp / "base"
@@ -94,6 +133,7 @@ def main():
     sides = {"base": (base_tree, tmp / "base_build"),
              "change": (root, tmp / "change_build")}
     values = {"base": {}, "change": {}}
+    run_seconds = {"base": [], "change": []}
     exact_seen = {}
     failures = []
     try:
@@ -105,7 +145,10 @@ def main():
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
             row = {}
             for side in order:
-                metrics, correct, reference = run_side(*sides[side], args)
+                metrics, correct, reference, run_s = run_side(*sides[side],
+                                                              args)
+                if run_s is not None:
+                    run_seconds[side].append(run_s)
                 if not correct:
                     failures.append(f"pair {i + 1} {side}: not correct")
                 for name, value in metrics.items():
@@ -127,7 +170,8 @@ def main():
         shutil.rmtree(tmp, ignore_errors=True)
 
     print(f"\n{'metric':<16} {'better':<6} {'base median [q1, q3]':<34} "
-          f"{'change median [q1, q3]':<34} {'change/base':>11} {'won':>7}")
+          f"{'change median [q1, q3]':<34} {'change/base':>11} {'won':>7}  "
+          f"verdict (bound)")
     for name, direction in better.items():
         if name not in values["base"] or name not in values["change"]:
             continue
@@ -137,15 +181,26 @@ def main():
             cols.append((median, f"{median:.6g} [{q1:.6g}, {q3:.6g}]"))
         ratio = cols[1][0] / cols[0][0] if cols[0][0] else float("nan")
         if name in EXACT:
-            won = "exact"
+            won, rule = "exact", ""
         else:
             sign = 1 if direction == "lower" else -1
             wins = sum(1 for b, c in zip(values["base"][name],
                                          values["change"][name])
                        if sign * (b - c) > 0)
             won = f"{wins}/{args.pairs}"
+            rule = verdict(values["base"][name], values["change"][name],
+                           direction, bound[name])
+            rule += f" ({bound[name]:g})"
         print(f"{name:<16} {direction:<6} {cols[0][1]:<34} {cols[1][1]:<34} "
-              f"{ratio:>11.4f} {won:>7}")
+              f"{ratio:>11.4f} {won:>7}  {rule}")
+        if (unit[name] == "1/s" and run_seconds["base"]
+                and run_seconds["change"]):
+            iqrs = []
+            for side in ("base", "change"):
+                q1, _, q3 = quartiles(run_seconds[side])
+                iqrs.append(f"{side} {q3 - q1:.4g} s")
+            print(f"{'':<16} IQR of the Run median seconds behind it: "
+                  + ", ".join(iqrs))
 
     differing = [name for name, seen in exact_seen.items() if len(seen) > 1]
     runs = 2 * args.pairs
