@@ -1,7 +1,6 @@
 #include "core/er_result.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 namespace progres {
 
@@ -61,11 +60,15 @@ void SurfaceQuarantinedIds(const std::vector<QuarantinedRecord>& quarantined,
 }
 
 void FinalizeDuplicates(ErRunResult* result) {
-  std::unordered_set<PairKey> unique;
-  unique.reserve(result->events.size());
-  for (const DuplicateEvent& event : result->events) unique.insert(event.pair);
-  result->duplicates.assign(unique.begin(), unique.end());
-  std::sort(result->duplicates.begin(), result->duplicates.end());
+  std::vector<PairKey>& duplicates = result->duplicates;
+  duplicates.clear();
+  duplicates.reserve(result->events.size());
+  for (const DuplicateEvent& event : result->events) {
+    duplicates.push_back(event.pair);
+  }
+  std::sort(duplicates.begin(), duplicates.end());
+  duplicates.erase(std::unique(duplicates.begin(), duplicates.end()),
+                   duplicates.end());
 }
 
 }  // namespace progres

@@ -8,7 +8,6 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "core/er_driver.h"
@@ -16,6 +15,7 @@
 #include "mapreduce/job.h"
 #include "mapreduce/pipeline.h"
 #include "mapreduce/serde.h"
+#include "model/pair_set.h"
 #include "redundancy/dominance.h"
 
 namespace progres {
@@ -52,7 +52,7 @@ int64_t WireSize(int64_t sq, const ResolveValue& value) {
 struct ResolveTaskState : ErTaskState {
   // Already-resolved pairs per tree (keyed by the tree's dominance value):
   // the incremental bottom-up resolution must not repeat child work.
-  std::unordered_map<int32_t, std::unordered_set<PairKey>> resolved;
+  std::unordered_map<int32_t, PairSet> resolved;
   // Per-tree emission: buffered tree members keyed by tree dominance value,
   // and the position of the next unresolved unit in the task's schedule.
   std::unordered_map<int32_t, std::vector<ResolveValue>> tree_values;
@@ -122,8 +122,10 @@ std::string EncodeResolveTaskState(const ResolveTaskState& state) {
   PutVarint64(keys.size(), &out);
   for (const int32_t key : keys) {
     PutVarint64(ZigZagEncode(key), &out);
-    const auto& set = state.resolved.at(key);
-    std::vector<PairKey> pairs(set.begin(), set.end());
+    const PairSet& set = state.resolved.at(key);
+    std::vector<PairKey> pairs;
+    pairs.reserve(set.size());
+    set.ForEach([&pairs](PairKey pair) { pairs.push_back(pair); });
     std::sort(pairs.begin(), pairs.end());
     PutVarint64(pairs.size(), &out);
     for (const PairKey pair : pairs) PutVarint64(pair, &out);

@@ -3,11 +3,11 @@
 
 #include <functional>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "mapreduce/cost_clock.h"
 #include "model/entity.h"
+#include "model/pair_set.h"
 #include "similarity/match_function.h"
 
 namespace progres {
@@ -85,7 +85,7 @@ struct ResolveRequest {
   // Pairs already resolved within this tree (incremental bottom-up
   // resolution, Sec. III-A). Pairs found here are skipped; newly resolved
   // pairs are inserted. May be null.
-  std::unordered_set<PairKey>* resolved = nullptr;
+  PairSet* resolved = nullptr;
   // Invoked for every duplicate found, after the comparison is charged, so
   // the callback can read `clock` for the event's task-local cost.
   std::function<void(EntityId, EntityId)> on_duplicate;

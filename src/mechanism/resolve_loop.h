@@ -28,7 +28,7 @@ class ResolveLoop {
   // should stop (a stopping condition fired).
   bool ProcessPair(const Entity& a, const Entity& b) {
     const PairKey key = MakePairKey(a.id, b.id);
-    if (request_.resolved != nullptr && request_.resolved->count(key) > 0) {
+    if (request_.resolved != nullptr && request_.resolved->contains(key)) {
       request_.clock->Charge(costs_.skip);
       ++outcome_.skipped;
       return true;

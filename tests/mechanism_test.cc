@@ -45,7 +45,7 @@ struct RunResult {
 RunResult RunMechanism(const ProgressiveMechanism& mechanism,
                        const std::vector<Entity>& entities,
                        const MatchFunction& match, ResolveOptions options,
-                       std::unordered_set<PairKey>* resolved = nullptr,
+                       PairSet* resolved = nullptr,
                        const std::function<bool(const Entity&, const Entity&)>*
                            should_resolve = nullptr) {
   RunResult run;
@@ -133,7 +133,7 @@ TEST(SortedNeighborTest, ResolvedSetSkipsAndRecords) {
   const auto entities = MakeBlock({"a", "a", "b"});
   const MatchFunction match = ExactMatch();
   const SortedNeighborMechanism sn;
-  std::unordered_set<PairKey> resolved;
+  PairSet resolved;
   const RunResult first =
       RunMechanism(sn, entities, match, {.window = 3}, &resolved);
   EXPECT_EQ(first.outcome.duplicates, 1);
@@ -150,7 +150,7 @@ TEST(SortedNeighborTest, SkippedPairsAreCheap) {
   const auto entities = MakeBlock({"a", "a"});
   const MatchFunction match = ExactMatch();
   const SortedNeighborMechanism sn;
-  std::unordered_set<PairKey> resolved;
+  PairSet resolved;
   const RunResult first =
       RunMechanism(sn, entities, match, {.window = 2}, &resolved);
   const RunResult second =
@@ -208,6 +208,30 @@ TEST(PsnmTest, CoversSamePairSetAsSn) {
   std::set<PairKey> found_a(a.found.begin(), a.found.end());
   std::set<PairKey> found_b(b.found.begin(), b.found.end());
   EXPECT_EQ(found_a, found_b);
+}
+
+TEST(PsnmTest, ResolvedSetSkipsAndRecords) {
+  // Partition size 3 over 8 entities: the sweep crosses partition borders,
+  // and the window leaves some pairs unenumerated.
+  const auto entities = MakeBlock({"a", "b", "a", "c", "b", "d", "a", "e"});
+  const MatchFunction match = ExactMatch();
+  const PsnmMechanism psnm({}, /*partition_size=*/3);
+  PairSet resolved;
+  const RunResult first =
+      RunMechanism(psnm, entities, match, {.window = 4}, &resolved);
+  const int64_t compared = first.outcome.duplicates + first.outcome.distinct;
+  EXPECT_GT(first.outcome.duplicates, 0);
+  EXPECT_EQ(static_cast<int64_t>(resolved.size()), compared);
+  // Second pass over the same block: every compared pair skipped, nothing
+  // re-found, nothing new recorded.
+  const RunResult second =
+      RunMechanism(psnm, entities, match, {.window = 4}, &resolved);
+  EXPECT_EQ(second.outcome.duplicates, 0);
+  EXPECT_EQ(second.outcome.distinct, 0);
+  EXPECT_EQ(second.outcome.skipped, compared);
+  EXPECT_TRUE(second.found.empty());
+  EXPECT_EQ(static_cast<int64_t>(resolved.size()), compared);
+  EXPECT_LT(second.cost, first.cost);
 }
 
 TEST(PsnmTest, PartitionMajorOrderWithinDistance) {
