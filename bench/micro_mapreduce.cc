@@ -1,11 +1,13 @@
 // Microbenchmarks of the MapReduce runtime: shuffle + sort + group
-// throughput at several task counts (google-benchmark mode), plus a
+// throughput at several task counts and the reduce-side merge of a spilled
+// partition (google-benchmark mode), plus a
 // "--json[=path]" mode that measures the same fixed workload on both
 // execution backends and writes a BENCH_micro_mapreduce.json report for
 // the CI regression gate (tools/compare_bench.py).
 
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -13,6 +15,8 @@
 
 #include "bench_util.h"
 #include "mapreduce/job.h"
+#include "mapreduce/shuffle.h"
+#include "mapreduce/spill.h"
 
 namespace progres {
 namespace {
@@ -49,6 +53,70 @@ void BM_ShuffleThroughput(benchmark::State& state) {
 }
 BENCHMARK(BM_ShuffleThroughput)->Arg(1)->Arg(4)->Arg(16)
     ->Unit(benchmark::kMillisecond);
+
+// One reduce partition shaped like a statistics-job partition under a
+// tight shuffle budget: 30,000 records of ~200 distinct 4-6 byte keys
+// ("<family>\x1f<root key>") with 24-byte values, from 20 map outputs that
+// each spill a run every 57-60 records, so the merge reads 500 spilled
+// segments plus 20 memory tails. Each iteration merges and groups the
+// whole partition; the map side and the spill files are built once.
+void BM_SpilledMerge(benchmark::State& state) {
+  using S = Shuffle<std::string, std::string>;
+  constexpr int kOutputs = 20;
+  constexpr int kRecordsPerOutput = 1500;
+  constexpr int kRunRecords = 60;
+  std::string error;
+  S::SpillConfig spill;
+  spill.enabled = true;
+  spill.block_bytes = 16 * 1024;
+  spill.dir = ResolveSpillDir("", &error);
+  if (!error.empty()) {
+    state.SkipWithError(error.c_str());
+    return;
+  }
+  std::vector<std::string> keys;
+  for (int k = 0; k < 200; ++k) {
+    std::string key = std::to_string(k % 3);
+    key.push_back('\x1f');
+    key += static_cast<char>('a' + k % 26);
+    for (int c = 0; c < k % 3 + 1; ++c) key += static_cast<char>('a' + k / 26);
+    keys.push_back(std::move(key));
+  }
+  // Records take 1 + 4..6 + 1 + 24 bytes, so 57-60 of them fill a run.
+  spill.task_buffer_bytes = kRunRecords * 30;
+  S shuffle(1);
+  shuffle.set_spill(spill);
+  std::vector<std::unique_ptr<S::MapOutput>> outputs;
+  std::vector<S::MapOutput*> maps;
+  uint64_t x = 88172645463325252ull;
+  for (int t = 0; t < kOutputs; ++t) {
+    auto& out = outputs.emplace_back(std::make_unique<S::MapOutput>());
+    out->Reset(shuffle, t);
+    for (int i = 0; i < kRecordsPerOutput; ++i) {
+      x ^= x << 13;
+      x ^= x >> 7;
+      x ^= x << 17;
+      out->Add(keys[x % keys.size()], std::string(24, 'v'));
+    }
+    maps.push_back(out.get());
+  }
+  int64_t records = 0;
+  int64_t sources = 0;
+  for (auto _ : state) {
+    S::Merge merge(shuffle, maps, 0);
+    int64_t seen = 0;
+    merge.ForEachGroup(merge.records() + 1,
+                       [&](const std::string&, std::vector<std::string>* v) {
+                         seen += static_cast<int64_t>(v->size());
+                       });
+    benchmark::DoNotOptimize(seen);
+    records = static_cast<int64_t>(merge.records());
+    sources = merge.stats().runs_merged;
+  }
+  state.counters["segments"] = static_cast<double>(sources);
+  state.SetItemsProcessed(state.iterations() * records);
+}
+BENCHMARK(BM_SpilledMerge)->Unit(benchmark::kMillisecond);
 
 // ---- BENCH_micro_mapreduce.json ----
 

@@ -60,7 +60,7 @@ ErRunResult BasicEr::Run(const Dataset& dataset) const {
             static_cast<int64_t>(VarintSize(key.size())) +
                 static_cast<int64_t>(key.size()) +
                 VarintSize(static_cast<uint64_t>(e.id)));
-        ctx->Emit(std::move(key), e.id);
+        ctx->Emit(key, e.id);
       }
     };
 

@@ -448,12 +448,7 @@ ErRunResult ProgressiveEr::Run(const Dataset& dataset) const {
             ctx->clock().Charge(kMapEmitCost);
             ctx->counters().Increment("map.emitted_pairs");
             ctx->counters().Increment("shuffle.bytes", WireSize(sqs[k], value));
-            // Extra units get a copy; the last emission takes the value.
-            if (k + 1 < sqs.size()) {
-              ctx->Emit(sqs[k], value);
-            } else {
-              ctx->Emit(sqs[k], std::move(value));
-            }
+            ctx->Emit(sqs[k], value);
           }
         }
       }

@@ -105,8 +105,10 @@ class MapReduceJob {
     Counters& counters() { return counters_; }
 
     // Emits a pair routed to partition `partition(key, num_reduce_tasks)`.
-    void Emit(K key, V value) {
-      output_.Add(std::move(key), std::move(value));
+    // The pair is encoded on the spot, so the caller may reuse its key and
+    // value buffers for the next one.
+    void Emit(const K& key, const V& value) {
+      output_.Add(key, value);
       ++stats_.pairs_out;
     }
 

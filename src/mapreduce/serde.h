@@ -90,11 +90,17 @@ struct KvCodec;
 // Decode would; RawLess orders two handles as decode-then-operator< orders
 // the keys, so handles neither of which is RawLess than the other belong to
 // equal keys.
+//
+// RawPrefix summarizes a handle in 64 bits that preserve the order: a key
+// RawLess than another never has the larger prefix, so unequal prefixes
+// order their keys without reading them. Keys with equal prefixes are equal
+// when PrefixIsKey(prefix) holds; otherwise only RawLess can order them.
 
 // Integers travel as varints of their two's-complement bit pattern — the
 // same `VarintSize(static_cast<uint64_t>(v))` form the drivers' own
 // "shuffle.bytes" counters use. Callers with many small negatives should
-// ZigZag inside their own codec. The raw handle is the decoded value.
+// ZigZag inside their own codec. The raw handle is the decoded value, and
+// its prefix is the value itself with the sign bit flipped: exact.
 template <typename T>
 struct KvCodec<
     T, std::enable_if_t<std::is_integral_v<T> && !std::is_same_v<T, bool>>> {
@@ -112,6 +118,15 @@ struct KvCodec<
     return Decode(in, offset, key);
   }
   static bool RawLess(T a, T b) { return a < b; }
+  static uint64_t RawPrefix(T key) {
+    if constexpr (std::is_signed_v<T>) {
+      return static_cast<uint64_t>(static_cast<int64_t>(key)) ^
+             (uint64_t{1} << 63);
+    } else {
+      return static_cast<uint64_t>(key);
+    }
+  }
+  static bool PrefixIsKey(uint64_t /*prefix*/) { return true; }
 };
 
 template <>
@@ -129,6 +144,10 @@ struct KvCodec<bool> {
 
 // The raw handle views the bytes after the length prefix. string_view
 // compares them as unsigned chars and then by length: std::string's order.
+// The prefix holds the first 7 bytes, big-endian and zero-padded, above a
+// low byte of min(size, 8). A key shorter than 8 bytes is then wholly in
+// its prefix (the size byte tells "a" from "a\0"), so only two keys of 8
+// bytes or more can share a prefix and differ.
 template <>
 struct KvCodec<std::string> {
   using RawKey = std::string_view;
@@ -143,6 +162,16 @@ struct KvCodec<std::string> {
     return GetStringView(in, offset, key);
   }
   static bool RawLess(std::string_view a, std::string_view b) { return a < b; }
+  static uint64_t RawPrefix(std::string_view key) {
+    const size_t head = key.size() < 7 ? key.size() : 7;
+    uint64_t prefix = 0;
+    for (size_t i = 0; i < head; ++i) {
+      prefix |= static_cast<uint64_t>(static_cast<uint8_t>(key[i]))
+                << (56 - 8 * i);
+    }
+    return prefix | (key.size() < 8 ? key.size() : 8);
+  }
+  static bool PrefixIsKey(uint64_t prefix) { return (prefix & 0xff) < 8; }
 };
 
 // True when KvCodec<T> provides the Encode/Decode pair the shuffle needs.
@@ -156,16 +185,18 @@ concept SerdeEncodable = requires(const T& value, std::string* out,
   { KvCodec<T>::Decode(in, offset, slot) } -> std::convertible_to<bool>;
 };
 
-// True when KvCodec<K> also orders encoded keys (RawKey, ParseRaw and
-// RawLess above), as every shuffle key type must.
+// True when KvCodec<K> also orders encoded keys (RawKey, ParseRaw, RawLess,
+// RawPrefix and PrefixIsKey above), as every shuffle key type must.
 template <typename K>
 concept RawOrderedKey =
     SerdeEncodable<K> &&
     requires(std::string_view in, size_t* offset,
              typename KvCodec<K>::RawKey* slot,
-             const typename KvCodec<K>::RawKey& key) {
+             const typename KvCodec<K>::RawKey& key, uint64_t prefix) {
       { KvCodec<K>::ParseRaw(in, offset, slot) } -> std::convertible_to<bool>;
       { KvCodec<K>::RawLess(key, key) } -> std::convertible_to<bool>;
+      { KvCodec<K>::RawPrefix(key) } -> std::same_as<uint64_t>;
+      { KvCodec<K>::PrefixIsKey(prefix) } -> std::convertible_to<bool>;
     };
 
 }  // namespace progres

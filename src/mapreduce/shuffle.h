@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <queue>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -196,7 +195,7 @@ class Shuffle {
 
     // Routes one pair to its partition's block chain, encoded. Crossing the
     // task's budget share triggers a spill.
-    void Add(K key, V value) {
+    void Add(const K& key, const V& value) {
       scratch_.clear();
       KvCodec<K>::Encode(key, &scratch_);
       // The default partitioner is FNV-1a over the encoded key — hash the
@@ -470,15 +469,16 @@ class Shuffle {
   // spilled, records are decoded as the reduce loop asks for them: one
   // source per non-empty spilled segment, read in chunks of at most
   // block_bytes, and one per task's in-memory tail, sorted through its
-  // index, in (map task, run order, memory last) order; the heap pops the
-  // smallest raw key and, among equal keys, the earliest source. That is
-  // the stable order of all-in-memory decoded pairs — equal keys keep
-  // (map task, emission order) — because a task's runs hold earlier
-  // emissions than its memory tail, and such a merge holds encoded bytes
-  // and indexes, never the decoded partition. A partition with nothing
-  // spilled is decoded in task order and stable-sorted instead, the same
-  // order. Reading never consumes the blocks or files, so a failed
-  // attempt's retry simply merges again.
+  // index, numbered in (map task, run order, memory last) order. A loser
+  // tree over the sources picks the next record: the smallest raw key and,
+  // among equal keys, the lowest-numbered source. That is the stable order
+  // of all-in-memory decoded pairs — equal keys keep (map task, emission
+  // order) — because a task's runs hold earlier emissions than its memory
+  // tail, and such a merge holds encoded bytes and indexes, never the
+  // decoded partition. A partition with nothing spilled is decoded in task
+  // order and stable-sorted instead, the same order. Reading never
+  // consumes the blocks or files, so a failed attempt's retry simply
+  // merges again.
   class Merge {
    public:
     Merge(const Shuffle& shuffle, const std::vector<MapOutput*>& maps,
@@ -531,11 +531,12 @@ class Shuffle {
         }
         SortIndex(&source.index);
       }
+      heads_.resize(sources_.size());
       for (size_t i = 0; i < sources_.size(); ++i) {
-        sources_[i].order = i;
-        if (Peek(&sources_[i])) heap_.push(&sources_[i]);
+        Peek(i);
         if (!stats_.error.empty()) return;
       }
+      BuildTree();
     }
     Merge(const Merge&) = delete;
     Merge& operator=(const Merge&) = delete;
@@ -593,41 +594,103 @@ class Shuffle {
    private:
     // One sorted stream: a spilled segment (chunked positioned reads) or a
     // task's in-memory records under their sorted index. `key` is the raw
-    // key of the stream's next record.
+    // key of the stream's next record; `done` marks the stream's end.
     struct MergeSource {
       std::unique_ptr<SpillSegmentReader> reader;
       std::vector<IndexEntry> index;
       size_t next = 0;
-      size_t order = 0;
       RawKey key{};
+      bool done = false;
     };
 
-    // True when `a` pops after `b`: larger key, or equal key from a later
-    // source (the stability tie-break).
-    struct After {
-      bool operator()(const MergeSource* a, const MergeSource* b) const {
-        if (KvCodec<K>::RawLess(b->key, a->key)) return true;
-        if (KvCodec<K>::RawLess(a->key, b->key)) return false;
-        return a->order > b->order;
+    // The head prefix of an exhausted source. A live key can share it (the
+    // largest integers), so Before checks `done` on a tie at this value.
+    static constexpr uint64_t kExhausted = ~uint64_t{0};
+
+    // True when source `a`'s next record merges before source `b`'s: by
+    // raw key, then by source number; exhausted sources lose every match.
+    // The cached prefixes decide unless they are equal. Equal prefixes
+    // that hold their whole keys go to the lower-numbered source without
+    // reading any key; only keys that share a prefix and run past it are
+    // compared with RawLess.
+    bool Before(uint32_t a, uint32_t b) const {
+      const uint64_t prefix = heads_[a];
+      if (prefix != heads_[b]) return prefix < heads_[b];
+      const MergeSource& x = sources_[a];
+      const MergeSource& y = sources_[b];
+      if (prefix == kExhausted && (x.done || y.done)) {
+        return x.done == y.done ? a < b : y.done;
       }
-    };
+      if (!KvCodec<K>::PrefixIsKey(prefix)) {
+        if (KvCodec<K>::RawLess(x.key, y.key)) return true;
+        if (KvCodec<K>::RawLess(y.key, x.key)) return false;
+      }
+      return a < b;
+    }
 
-    // Decodes the next record of the heap's sources into `*out`. False at
-    // the end, or on error.
+    // Builds the loser tree over the sources' heads: source i is leaf
+    // k + i of a heap-shaped tree with k leaves; internal node n (1 <= n <
+    // k) keeps the loser of the match between its children's winners, and
+    // tree_[0] the overall winner.
+    void BuildTree() {
+      const size_t k = sources_.size();
+      tree_.assign(k, 0);
+      if (k == 0) return;
+      std::vector<uint32_t> winner(k, 0);
+      const auto winner_of = [&](size_t node) {
+        return node >= k ? static_cast<uint32_t>(node - k) : winner[node];
+      };
+      for (size_t n = k - 1; n >= 1; --n) {
+        const uint32_t left = winner_of(2 * n);
+        const uint32_t right = winner_of(2 * n + 1);
+        const bool right_wins = Before(right, left);
+        winner[n] = right_wins ? right : left;
+        tree_[n] = right_wins ? left : right;
+      }
+      tree_[0] = winner_of(1);
+    }
+
+    // Replays source `s`'s matches on its path to the root after its head
+    // changed: at each node the stored loser and the climbing winner meet
+    // again, and the new winner climbs on.
+    void Replay(uint32_t s) {
+      uint32_t winner = s;
+      for (size_t n = (sources_.size() + s) / 2; n >= 1; n /= 2) {
+        if (Before(tree_[n], winner)) std::swap(tree_[n], winner);
+      }
+      tree_[0] = winner;
+    }
+
+    // Decodes the tree winner's next record into `*out`. False at the end,
+    // or on error.
     bool Next(KV* out) {
-      if (!stats_.error.empty() || heap_.empty()) return false;
-      MergeSource* source = heap_.top();
-      heap_.pop();
-      if (!Take(source, out)) return false;
+      if (!stats_.error.empty() || sources_.empty()) return false;
+      const uint32_t s = tree_[0];
+      MergeSource& source = sources_[s];
+      if (source.done) return false;
+      if (!Take(&source, out)) return false;
       // `*out` is whole even when the source's next key fails to parse;
       // that error ends the merge at the next call.
-      if (Peek(source)) heap_.push(source);
+      Peek(s);
+      Replay(s);
       return true;
+    }
+
+    // Points source `s`'s key and cached head prefix at its next record,
+    // or marks it done at the end of the stream or on error.
+    void Peek(size_t s) {
+      MergeSource& source = sources_[s];
+      if (ParseNextKey(&source)) {
+        heads_[s] = KvCodec<K>::RawPrefix(source.key);
+      } else {
+        source.done = true;
+        heads_[s] = kExhausted;
+      }
     }
 
     // Points source->key at the raw key of the next record. False at the
     // end of the stream, or on error.
-    bool Peek(MergeSource* source) {
+    bool ParseNextKey(MergeSource* source) {
       if (source->reader == nullptr) {
         if (source->next == source->index.size()) return false;
         source->key = source->index[source->next].key;
@@ -686,7 +749,10 @@ class Shuffle {
     }
 
     std::vector<MergeSource> sources_;
-    std::priority_queue<MergeSource*, std::vector<MergeSource*>, After> heap_;
+    // Each source's head: RawPrefix of its next key, kExhausted at its end.
+    // One contiguous array, so a match reads no reader buffer.
+    std::vector<uint64_t> heads_;
+    std::vector<uint32_t> tree_;  // see BuildTree
     // The decoded, sorted partition when nothing of it was spilled.
     std::vector<KV> memory_;
     size_t records_ = 0;

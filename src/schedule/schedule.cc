@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <string>
 #include <functional>
+#include <iterator>
 #include <limits>
 #include <unordered_set>
 #include <utility>
@@ -20,8 +21,16 @@ struct SlEntry {
   double cost = 0.0;
 };
 
-// Collects every live block and sorts by non-increasing utility
-// (deterministic tie-break on family, then node index).
+// SL order: non-increasing utility, ties broken on family, then node
+// index. Utilities are finite (costs are floored above zero), so the order
+// is total and every sort of the same entries gives the same list.
+bool SlBefore(const SlEntry& a, const SlEntry& b) {
+  if (a.util != b.util) return a.util > b.util;
+  if (a.ref.family != b.ref.family) return a.ref.family < b.ref.family;
+  return a.ref.node < b.ref.node;
+}
+
+// Collects every live block and sorts it into SL order.
 std::vector<SlEntry> BuildSl(const std::vector<AnnotatedForest>& forests) {
   std::vector<SlEntry> sl;
   for (const AnnotatedForest& forest : forests) {
@@ -31,23 +40,58 @@ std::vector<SlEntry> BuildSl(const std::vector<AnnotatedForest>& forests) {
       sl.push_back({{forest.family(), n}, b.util, b.cost});
     }
   }
-  std::sort(sl.begin(), sl.end(), [](const SlEntry& a, const SlEntry& b) {
-    if (a.util != b.util) return a.util > b.util;
-    if (a.ref.family != b.ref.family) return a.ref.family < b.ref.family;
-    return a.ref.node < b.ref.node;
-  });
+  std::sort(sl.begin(), sl.end(), SlBefore);
   return sl;
+}
+
+// Brings `sl` up to date after a split round. Splits change no block's
+// liveness, only the utility and cost of the blocks they re-estimate (the
+// split blocks and their ancestors), so only those entries are pulled out,
+// refreshed and sorted, then merged with the rest, which stayed in order.
+// The result is the list BuildSl would build.
+void RefreshSl(const std::vector<AnnotatedForest>& forests,
+               std::vector<SlEntry>* sl) {
+  std::vector<SlEntry> changed;
+  size_t kept = 0;
+  for (const SlEntry& entry : *sl) {
+    const AnnotatedBlock& b =
+        forests[static_cast<size_t>(entry.ref.family)].block(entry.ref.node);
+    if (b.util == entry.util && b.cost == entry.cost) {
+      (*sl)[kept++] = entry;
+    } else {
+      changed.push_back({entry.ref, b.util, b.cost});
+    }
+  }
+  if (changed.empty()) return;
+  sl->resize(kept);
+  std::sort(changed.begin(), changed.end(), SlBefore);
+  std::vector<SlEntry> merged;
+  merged.reserve(kept + changed.size());
+  std::merge(sl->begin(), sl->end(), changed.begin(), changed.end(),
+             std::back_inserter(merged), SlBefore);
+  sl->swap(merged);
+}
+
+// Bucket of every live block, indexed by family and node; -1 for blocks
+// outside SL (eliminated ones).
+using BucketMap = std::vector<std::vector<int>>;
+
+int BucketOf(const BucketMap& bucket_of, int family, int node) {
+  return bucket_of[static_cast<size_t>(family)][static_cast<size_t>(node)];
 }
 
 // Assigns each SL entry to a bucket: bucket i (0-based) holds the blocks
 // resolvable during (c_{i-1} * r, c_i * r] cumulative cost units. Blocks
 // past c_k * r land in the virtual overflow bucket (index k), which has
 // unbounded capacity and is excluded from overflow checks.
-std::unordered_map<uint64_t, int> AssignBuckets(
-    const std::vector<SlEntry>& sl, const std::vector<double>& cost_vector,
-    int num_reduce_tasks) {
-  std::unordered_map<uint64_t, int> bucket_of;
-  bucket_of.reserve(sl.size());
+void AssignBuckets(const std::vector<AnnotatedForest>& forests,
+                   const std::vector<SlEntry>& sl,
+                   const std::vector<double>& cost_vector,
+                   int num_reduce_tasks, BucketMap* bucket_of) {
+  bucket_of->resize(forests.size());
+  for (size_t f = 0; f < forests.size(); ++f) {
+    (*bucket_of)[f].assign(static_cast<size_t>(forests[f].num_blocks()), -1);
+  }
   double cumulative = 0.0;
   size_t bucket = 0;
   const double r = static_cast<double>(num_reduce_tasks);
@@ -57,9 +101,10 @@ std::unordered_map<uint64_t, int> AssignBuckets(
            cumulative > cost_vector[bucket] * r) {
       ++bucket;
     }
-    bucket_of[BlockRefKey(entry.ref)] = static_cast<int>(bucket);
+    (*bucket_of)[static_cast<size_t>(entry.ref.family)]
+                [static_cast<size_t>(entry.ref.node)] =
+        static_cast<int>(bucket);
   }
-  return bucket_of;
 }
 
 // Capacity of bucket h: c_h - c_{h-1} (with c_0 = 0).
@@ -71,14 +116,14 @@ double BucketCapacity(const std::vector<double>& cost_vector, int h) {
 
 // The tree cost vector VC(T): per bucket, the total cost of the subtree's
 // blocks (Sec. IV-C2). Vector has |C| + 1 entries (last = overflow bucket).
-std::vector<double> SubtreeCostVector(
-    const AnnotatedForest& forest, int root,
-    const std::unordered_map<uint64_t, int>& bucket_of, int num_buckets) {
+std::vector<double> SubtreeCostVector(const AnnotatedForest& forest,
+                                      int root, const BucketMap& bucket_of,
+                                      int num_buckets) {
   std::vector<double> vc(static_cast<size_t>(num_buckets) + 1, 0.0);
   for (int n : forest.TreeBlocks(root)) {
-    const auto it = bucket_of.find(BlockRefKey(forest.family(), n));
-    if (it == bucket_of.end()) continue;
-    vc[static_cast<size_t>(it->second)] += forest.block(n).cost;
+    const int bucket = BucketOf(bucket_of, forest.family(), n);
+    if (bucket < 0) continue;
+    vc[static_cast<size_t>(bucket)] += forest.block(n).cost;
   }
   return vc;
 }
@@ -118,7 +163,7 @@ std::vector<int> SortedInTreeChildren(const AnnotatedForest& forest,
 bool ShouldSplit(const AnnotatedForest& forest, int root, int candidate,
                  const std::vector<int>& kept,
                  const std::vector<int>& remaining,
-                 const std::unordered_map<uint64_t, int>& bucket_of,
+                 const BucketMap& bucket_of,
                  const std::vector<double>& cost_vector,
                  std::vector<double>* v_star) {
   const AnnotatedBlock& root_block = forest.block(root);
@@ -144,9 +189,8 @@ bool ShouldSplit(const AnnotatedForest& forest, int root, int candidate,
   cost_hyp = std::max(cost_hyp, CostA(root_block.size, costs));
 
   // Place the hypothetical cost in the root's current SL bucket.
-  const auto root_bucket = bucket_of.find(BlockRefKey(forest.family(), root));
-  const int s = root_bucket == bucket_of.end() ? num_buckets
-                                               : root_bucket->second;
+  const int root_bucket = BucketOf(bucket_of, forest.family(), root);
+  const int s = root_bucket < 0 ? num_buckets : root_bucket;
   (*v_star)[static_cast<size_t>(s)] = cost_hyp;
 
   // Test every real bucket's capacity against kept + candidate + V*.
@@ -171,7 +215,7 @@ bool ShouldSplit(const AnnotatedForest& forest, int root, int candidate,
 
 // SPLIT-TREE (Fig. 6). Returns the number of subtrees split off.
 int SplitTree(AnnotatedForest* forest, int root,
-              const std::unordered_map<uint64_t, int>& bucket_of,
+              const BucketMap& bucket_of,
               const std::vector<double>& cost_vector) {
   std::vector<int> children = SortedInTreeChildren(*forest, root);
   std::vector<int> kept;
@@ -434,7 +478,7 @@ struct TreeInfo {
 // Collects every tree with its cost vector and weighted cost.
 std::vector<TreeInfo> CollectTrees(
     const std::vector<AnnotatedForest>& forests,
-    const std::unordered_map<uint64_t, int>& bucket_of,
+    const BucketMap& bucket_of,
     const std::vector<double>& cost_vector,
     const std::vector<double>& weights) {
   const int num_buckets = static_cast<int>(cost_vector.size());
@@ -604,11 +648,12 @@ std::vector<std::vector<MatchTask>> AssignTrees(
   const int num_buckets = static_cast<int>(p.cost_vector.size());
 
   // ---- Step 1: split overflowed trees (GENERATE-SCHEDULE lines 2-7) ----
+  std::vector<SlEntry> sl = BuildSl(*forests);
+  BucketMap bucket_of;
   if (p.scheduler == TreeScheduler::kOurs) {
     while (true) {
-      const std::vector<SlEntry> sl = BuildSl(*forests);
-      const std::unordered_map<uint64_t, int> bucket_of =
-          AssignBuckets(sl, p.cost_vector, p.num_reduce_tasks);
+      AssignBuckets(*forests, sl, p.cost_vector, p.num_reduce_tasks,
+                    &bucket_of);
 
       // IDENTIFY-TREES: trees whose cost vector exceeds some bucket's
       // capacity and that still have a child to split.
@@ -652,13 +697,12 @@ std::vector<std::vector<MatchTask>> AssignTrees(
                             bucket_of, p.cost_vector);
       }
       if (splits == 0) break;  // nothing splittable improved: stop
+      RefreshSl(*forests, &sl);
     }
   }
 
   // ---- Step 2: partition trees among reduce tasks ----
-  const std::vector<SlEntry> sl = BuildSl(*forests);
-  const std::unordered_map<uint64_t, int> bucket_of =
-      AssignBuckets(sl, p.cost_vector, p.num_reduce_tasks);
+  AssignBuckets(*forests, sl, p.cost_vector, p.num_reduce_tasks, &bucket_of);
   std::vector<TreeInfo> trees =
       CollectTrees(*forests, bucket_of, p.cost_vector, p.weights);
 

@@ -267,9 +267,11 @@ TEST(KvCodecTest, RandomKvStreamRoundTrip) {
 
 // Encodes `keys` and checks the raw order against the decoded one on every
 // ordered pair: RawLess must equal decode-then-operator<, and raw equality
-// (neither handle RawLess than the other) must equal ==. ParseRaw must
-// consume exactly the encoded key, and fail on every truncation exactly
-// where Decode does.
+// (neither handle RawLess than the other) must equal ==. The merge's
+// 64-bit prefixes must agree with that order: a smaller prefix means a
+// smaller key, and equal prefixes that PrefixIsKey vouches for mean equal
+// keys. ParseRaw must consume exactly the encoded key, and fail on every
+// truncation exactly where Decode does.
 template <typename K>
 void ExpectRawOrderMatchesDecoded(const std::vector<K>& keys) {
   using Codec = KvCodec<K>;
@@ -302,6 +304,15 @@ void ExpectRawOrderMatchesDecoded(const std::vector<K>& keys) {
           !Codec::RawLess(raw[i], raw[j]) && !Codec::RawLess(raw[j], raw[i]);
       EXPECT_EQ(raw_equal, decoded[i] == decoded[j])
           << "keys " << i << " and " << j;
+      const uint64_t prefix_i = Codec::RawPrefix(raw[i]);
+      const uint64_t prefix_j = Codec::RawPrefix(raw[j]);
+      if (prefix_i < prefix_j) {
+        EXPECT_TRUE(decoded[i] < decoded[j]) << "keys " << i << " and " << j;
+      }
+      if (prefix_i == prefix_j && Codec::PrefixIsKey(prefix_i)) {
+        EXPECT_TRUE(decoded[i] == decoded[j])
+            << "keys " << i << " and " << j;
+      }
     }
   }
 }
@@ -342,6 +353,16 @@ std::vector<std::string> AdversarialStrings() {
   std::vector<std::string> keys = {
       "",
       std::string(1, '\0'),
+      // Around the 7 bytes and the size byte of the merge prefix.
+      "abcdef",
+      "abcdefg",
+      std::string("abcdefg\0", 8),
+      "abcdefgh",
+      "abcdefgi",
+      "abcdefgh\x01",
+      std::string("abcdefgh\0", 9),
+      "\xff\xff\xff\xff\xff\xff\xff",
+      "\xff\xff\xff\xff\xff\xff\xff\xff",
       std::string(2, '\0'),
       std::string("\0a", 2),
       std::string("a\0", 2),
@@ -385,6 +406,24 @@ std::vector<std::string> RandomStrings(uint64_t seed, int count) {
   return keys;
 }
 
+// A shared 6-byte head and a 0..6-byte tail over NUL, 'g' and 'h': keys
+// that tie on the merge's 7 prefix bytes, differ at the 8th or later, or
+// end just before or after it.
+std::vector<std::string> SharedHeadStrings(uint64_t seed, int count) {
+  const char alphabet[] = {'\0', 'g', 'h'};
+  Rng rng(seed);
+  std::vector<std::string> keys;
+  for (int i = 0; i < count; ++i) {
+    std::string key = "abcdef";
+    const uint64_t tail = rng.UniformU64(7);
+    for (uint64_t j = 0; j < tail; ++j) {
+      key.push_back(alphabet[rng.UniformU64(sizeof(alphabet))]);
+    }
+    keys.push_back(std::move(key));
+  }
+  return keys;
+}
+
 template <typename T>
 std::vector<T> AdversarialIntegers() {
   using Limits = std::numeric_limits<T>;
@@ -416,6 +455,7 @@ std::vector<T> RandomIntegers(uint64_t seed, int count) {
 TEST(RawKeyOrderTest, StringsAgreeWithDecodedOrder) {
   ExpectRawOrderMatchesDecoded(AdversarialStrings());
   ExpectRawOrderMatchesDecoded(RandomStrings(170, 400));
+  ExpectRawOrderMatchesDecoded(SharedHeadStrings(176, 300));
 }
 
 TEST(RawKeyOrderTest, IntAgreesWithDecodedOrder) {

@@ -1,5 +1,7 @@
 #include <cstdint>
+#include <ostream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -18,27 +20,15 @@ ClusterConfig TestCluster() {
   return cluster;
 }
 
-// The MR statistics job must agree block-for-block with the in-memory
-// reference implementation (BuildForests + ComputeUncoveredPairs).
-TEST(StatsJobTest, MatchesInMemoryReference) {
-  PublicationConfig gen;
-  gen.num_entities = 3000;
-  gen.seed = 71;
-  const LabeledDataset data = GeneratePublications(gen);
-  const BlockingConfig config({{"X", kPubTitle, {2, 4, 8}, -1},
-                               {"Y", kPubAbstract, {3, 5}, -1},
-                               {"Z", kPubVenue, {3, 5}, -1}});
-
-  std::vector<Forest> reference =
-      BuildForests(data.dataset, config, /*keep_members=*/false);
-  ComputeUncoveredPairs(data.dataset, config, &reference);
-
-  const StatsJobOutput mr = RunStatisticsJob(data.dataset, config,
-                                             TestCluster(), 6, 6);
-  ASSERT_EQ(mr.forests.size(), reference.size());
+// Block-for-block equality with the reference forests: every reference
+// block exists under its path with the same size, Uncov, level, number of
+// children and parent path.
+void ExpectSameForests(const std::vector<Forest>& reference,
+                       const std::vector<Forest>& forests) {
+  ASSERT_EQ(forests.size(), reference.size());
   for (size_t f = 0; f < reference.size(); ++f) {
     const Forest& expected = reference[f];
-    const Forest& actual = mr.forests[f];
+    const Forest& actual = forests[f];
     ASSERT_EQ(actual.nodes.size(), expected.nodes.size()) << "family " << f;
     ASSERT_EQ(actual.roots.size(), expected.roots.size());
     for (const BlockNode& node : expected.nodes) {
@@ -47,8 +37,8 @@ TEST(StatsJobTest, MatchesInMemoryReference) {
       const BlockNode& got = actual.node(found);
       EXPECT_EQ(got.size, node.size) << node.id.path;
       EXPECT_EQ(got.uncov, node.uncov) << node.id.path;
-      EXPECT_EQ(got.id.level, node.id.level);
-      EXPECT_EQ(got.children.size(), node.children.size());
+      EXPECT_EQ(got.id.level, node.id.level) << node.id.path;
+      EXPECT_EQ(got.children.size(), node.children.size()) << node.id.path;
       // Parent paths must agree.
       if (node.parent >= 0) {
         ASSERT_GE(got.parent, 0);
@@ -57,6 +47,165 @@ TEST(StatsJobTest, MatchesInMemoryReference) {
       } else {
         EXPECT_LT(got.parent, 0);
       }
+    }
+  }
+}
+
+// Blocking configurations of the oracle grid: Table II's X/Y/Z, and a
+// fourth family W dominated by all three, so its Uncov sums every one of
+// the 7 subset masks of Sec. IV-A's inclusion–exclusion.
+BlockingConfig XyzBlocking() {
+  return BlockingConfig({{"X", kPubTitle, {2, 4, 8}, -1},
+                         {"Y", kPubAbstract, {3, 5}, -1},
+                         {"Z", kPubVenue, {3, 5}, -1}});
+}
+
+BlockingConfig XyzwBlocking() {
+  return BlockingConfig({{"X", kPubTitle, {2, 4, 8}, -1},
+                         {"Y", kPubAbstract, {3, 5}, -1},
+                         {"Z", kPubVenue, {3, 5}, -1},
+                         {"W", kPubTitle, {1, 3}, -1}});
+}
+
+// Generated publications plus hand-built records the generator never
+// draws: empty and missing attributes, attributes shorter than every
+// prefix, upper-case letters and bytes >= 0x80, values holding the tuple
+// (0x1e) and path (0x1f) separators inside the keyed prefixes, and exact
+// copies of generated and hand-built records. A root key holding 0x1e
+// shifts the components its dominated families' tuples split into, which
+// the job must reproduce exactly as UncoveredFromJointCounts splits them,
+// trailing components dropped.
+Dataset OracleDataset() {
+  PublicationConfig gen;
+  gen.num_entities = 12000;
+  gen.seed = 71;
+  Dataset dataset = GeneratePublications(gen).dataset;
+  const std::vector<std::vector<std::string>> hand_built = {
+      {"", "", ""},
+      {},
+      {"q", "ab", "v"},
+      {"Q", "AB", "V"},
+      {"z", "", "vl"},
+      {"MIXED Case \xc3\x89t\xc3\xa9 title", "\xff\xfe\x80 ABSTRACT text",
+       "VLDB \xe2\x80\x94 Journal"},
+      {"mixed case \xc3\x89T\xc3\xa9 TITLE", "\xff\xfe\x80 abstract",
+       "vldb \xe2\x80\x94 journal"},
+      {"\x80\x81\x82\x83\x84\x85\x86\x87\x88", "\xc0\xc1", "\xfe"},
+      {"ab\x1f" "cdefgh title", "wo\x1e\x1frds in an abstract",
+       "ac\x1fm conference"},
+      {"ab\x1e" "cd separator title", "w\x1e" "o more words",
+       "ac\x1e" "m\x1f venue"},
+      {"a\x1e\x1f\x1e\x1fzzzz", "x\x1fy\x1ez", "\x1e\x1e\x1e"},
+      // Root keys ending in 0x1e: Z's tuples "p\x1e\x1eqqq" and
+      // "r\x1e\x1esss" split into ("p", "") and ("r", ""), so the
+      // reference counts this pair as sharing Y's root.
+      {"p\x1e title", "qqq abstract", "same venue"},
+      {"r\x1e title", "sss abstract", "same venue"},
+  };
+  const int64_t generated = dataset.size();
+  for (const auto& attributes : hand_built) {
+    dataset.Add(attributes);
+    dataset.Add(attributes);  // an exact copy
+  }
+  for (EntityId id : {0, 1, 2, 17}) {
+    if (id < generated) dataset.Add(dataset.entity(id).attributes);
+  }
+  return dataset;
+}
+
+struct OracleCase {
+  bool spill = false;
+  ExecutionBackend backend = ExecutionBackend::kSimulated;
+  bool four_families = false;
+};
+
+std::string OracleCaseLabel(const OracleCase& c) {
+  return std::string(c.spill ? "Spilled" : "InMemory") +
+         (c.backend == ExecutionBackend::kThreaded ? "Threaded"
+                                                   : "Simulated") +
+         (c.four_families ? "Xyzw" : "Xyz");
+}
+
+std::string OracleCaseName(const testing::TestParamInfo<OracleCase>& info) {
+  return OracleCaseLabel(info.param);
+}
+
+void PrintTo(const OracleCase& c, std::ostream* os) {
+  *os << OracleCaseLabel(c);
+}
+
+std::vector<OracleCase> OracleCases() {
+  std::vector<OracleCase> cases;
+  for (const bool spill : {false, true}) {
+    for (const ExecutionBackend backend :
+         {ExecutionBackend::kSimulated, ExecutionBackend::kThreaded}) {
+      for (const bool four : {false, true}) {
+        cases.push_back({spill, backend, four});
+      }
+    }
+  }
+  return cases;
+}
+
+class StatsJobOracleTest : public testing::TestWithParam<OracleCase> {};
+
+// The MR statistics job must agree block-for-block with the in-memory
+// reference implementation (BuildForests + ComputeUncoveredPairs), with
+// every partition in memory or merged from hundreds of spill runs, on both
+// backends.
+TEST_P(StatsJobOracleTest, MatchesInMemoryReference) {
+  const OracleCase& c = GetParam();
+  static const Dataset dataset = OracleDataset();
+  const BlockingConfig config =
+      c.four_families ? XyzwBlocking() : XyzBlocking();
+
+  std::vector<Forest> reference =
+      BuildForests(dataset, config, /*keep_members=*/false);
+  ComputeUncoveredPairs(dataset, config, &reference);
+
+  ClusterConfig cluster = TestCluster();
+  cluster.backend = c.backend;
+  if (c.spill) cluster.shuffle_budget = testing_util::TinySpillBudget();
+  const StatsJobOutput mr = RunStatisticsJob(dataset, config, cluster, 6, 6);
+  ASSERT_FALSE(mr.failed) << mr.error;
+  if (c.spill) {
+    // Every run holds records of every partition, so each reduce task
+    // merges about this many spilled segments.
+    EXPECT_GE(mr.counters.Get("mr.spill.runs"), 150);
+  } else {
+    EXPECT_EQ(mr.counters.Get("mr.spill.runs"), 0);
+  }
+  ExpectSameForests(reference, mr.forests);
+}
+
+INSTANTIATE_TEST_SUITE_P(Grid, StatsJobOracleTest,
+                         testing::ValuesIn(OracleCases()), OracleCaseName);
+
+// A key holding the path separator can give a block the path of a deeper
+// block of the same root: with prefixes 1/3/5, "a\x1fabc" reaches
+// "a␟a␟a" at level 2, where "a" reaches it at level 3. Forest::by_path
+// keys blocks by path, so the reference has one block there, whose level
+// and parent come from the first entity reaching it; the job must build the
+// same, whichever entity comes first.
+TEST(StatsJobTest, CrossLevelPathCollisionMatchesReference) {
+  const BlockingConfig config({{"X", 0, {1, 3, 5}, -1}, {"Y", 1, {1}, -1}});
+  for (const bool deep_first : {false, true}) {
+    SCOPED_TRACE(deep_first ? "\"a\" first" : "\"a\\x1fabc\" first");
+    Dataset dataset({"name", "city"});
+    const std::vector<std::string> deep = {"a", "b"};
+    const std::vector<std::string> shallow = {"a\x1f" "abc", "b"};
+    dataset.Add(deep_first ? deep : shallow);
+    dataset.Add(deep_first ? shallow : deep);
+    dataset.Add({"a\x1f" "abd", "c"});
+    dataset.Add({"ab", "b"});
+    std::vector<Forest> reference =
+        BuildForests(dataset, config, /*keep_members=*/false);
+    ComputeUncoveredPairs(dataset, config, &reference);
+    for (const int map_tasks : {1, 3}) {
+      const StatsJobOutput mr =
+          RunStatisticsJob(dataset, config, TestCluster(), map_tasks, 2);
+      ASSERT_FALSE(mr.failed) << mr.error;
+      ExpectSameForests(reference, mr.forests);
     }
   }
 }
