@@ -54,6 +54,33 @@ void BM_ShuffleThroughput(benchmark::State& state) {
 BENCHMARK(BM_ShuffleThroughput)->Arg(1)->Arg(4)->Arg(16)
     ->Unit(benchmark::kMillisecond);
 
+// The reduce side of a string-keyed, string-valued job: decodes each
+// record's value (and, opening a group, its key) into reused buffers and
+// counts the grouped values.
+class CountingSink final : public Shuffle::MergeSink {
+ public:
+  bool Take(std::string_view in, size_t key_size, bool opens,
+            size_t* size) override {
+    size_t offset = key_size;
+    if (opens) {
+      offset = 0;
+      if (!KvCodec<std::string>::Decode(in, &offset, &key_)) return false;
+    }
+    if (!KvCodec<std::string>::Decode(in, &offset, &value_)) return false;
+    *size = offset;
+    ++values_;
+    return true;
+  }
+  void Finish() override {}
+
+  int64_t values() const { return values_; }
+
+ private:
+  std::string key_;
+  std::string value_;
+  int64_t values_ = 0;
+};
+
 // One reduce partition shaped like a statistics-job partition under a
 // tight shuffle budget: 30,000 records of ~200 distinct 4-6 byte keys
 // ("<family>\x1f<root key>") with 24-byte values, from 20 map outputs that
@@ -61,12 +88,11 @@ BENCHMARK(BM_ShuffleThroughput)->Arg(1)->Arg(4)->Arg(16)
 // segments plus 20 memory tails. Each iteration merges and groups the
 // whole partition; the map side and the spill files are built once.
 void BM_SpilledMerge(benchmark::State& state) {
-  using S = Shuffle<std::string, std::string>;
   constexpr int kOutputs = 20;
   constexpr int kRecordsPerOutput = 1500;
   constexpr int kRunRecords = 60;
   std::string error;
-  S::SpillConfig spill;
+  Shuffle::SpillConfig spill;
   spill.enabled = true;
   spill.block_bytes = 16 * 1024;
   spill.dir = ResolveSpillDir("", &error);
@@ -84,32 +110,33 @@ void BM_SpilledMerge(benchmark::State& state) {
   }
   // Records take 1 + 4..6 + 1 + 24 bytes, so 57-60 of them fill a run.
   spill.task_buffer_bytes = kRunRecords * 30;
-  S shuffle(1);
+  Shuffle shuffle(1, KeyFormat::kString);
   shuffle.set_spill(spill);
-  std::vector<std::unique_ptr<S::MapOutput>> outputs;
-  std::vector<S::MapOutput*> maps;
+  std::vector<std::unique_ptr<Shuffle::MapOutput>> outputs;
+  std::vector<Shuffle::MapOutput*> maps;
   uint64_t x = 88172645463325252ull;
+  std::string record;
   for (int t = 0; t < kOutputs; ++t) {
-    auto& out = outputs.emplace_back(std::make_unique<S::MapOutput>());
+    auto& out = outputs.emplace_back(std::make_unique<Shuffle::MapOutput>());
     out->Reset(shuffle, t);
     for (int i = 0; i < kRecordsPerOutput; ++i) {
       x ^= x << 13;
       x ^= x >> 7;
       x ^= x << 17;
-      out->Add(keys[x % keys.size()], std::string(24, 'v'));
+      record.clear();
+      KvCodec<std::string>::Encode(keys[x % keys.size()], &record);
+      KvCodec<std::string>::Encode(std::string(24, 'v'), &record);
+      out->Add(0, record);
     }
     maps.push_back(out.get());
   }
   int64_t records = 0;
   int64_t sources = 0;
   for (auto _ : state) {
-    S::Merge merge(shuffle, maps, 0);
-    int64_t seen = 0;
-    merge.ForEachGroup(merge.records() + 1,
-                       [&](const std::string&, std::vector<std::string>* v) {
-                         seen += static_cast<int64_t>(v->size());
-                       });
-    benchmark::DoNotOptimize(seen);
+    Shuffle::Merge merge(shuffle, maps, 0);
+    CountingSink sink;
+    merge.ForEachGroup(merge.records() + 1, sink);
+    benchmark::DoNotOptimize(sink.values());
     records = static_cast<int64_t>(merge.records());
     sources = merge.stats().runs_merged;
   }

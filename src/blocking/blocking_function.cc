@@ -11,7 +11,12 @@ void BlockingConfig::AppendKey(int f, int level, const Entity& e,
       e.attribute(static_cast<size_t>(spec.attribute_index));
   const size_t len =
       static_cast<size_t>(spec.prefix_lens[static_cast<size_t>(level - 1)]);
+  const size_t start = out->size();
   AppendLowerAscii(Prefix(value, len), out);
+  for (size_t i = start; i < out->size(); ++i) {
+    char& c = (*out)[i];
+    if (c == kPathSeparator || c == kTupleSeparator) c = ' ';
+  }
 }
 
 std::string BlockingConfig::Key(int f, int level, const Entity& e) const {

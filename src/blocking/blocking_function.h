@@ -54,7 +54,9 @@ class BlockingConfig {
   }
 
   // Appends the blocking key of `e` under family `f` at `level` (1-based),
-  // the lower-cased prefix of the family's attribute, to `*out`. A caller
+  // the lower-cased prefix of the family's attribute, to `*out`. The prefix
+  // holds no separator: kPathSeparator and kTupleSeparator become spaces,
+  // so every path and tuple splits back into the keys that built it. A caller
   // walking `e`'s block chain extends one path buffer level by level:
   // kPathSeparator (from level 2 on), then AppendKey, gives the level's
   // Path without allocating a new string per level.
@@ -80,6 +82,10 @@ class BlockingConfig {
 
 // Key-path separator between levels.
 inline constexpr char kPathSeparator = '\x1f';
+
+// Separator between family root keys inside an overlap tuple (see
+// UncoveredFromJointCounts in forest.h).
+inline constexpr char kTupleSeparator = '\x1e';
 
 }  // namespace progres
 

@@ -66,10 +66,6 @@ std::vector<Forest> BuildForests(const Dataset& dataset,
 void ComputeUncoveredPairs(const Dataset& dataset, const BlockingConfig& config,
                            std::vector<Forest>* forests);
 
-// Separator between family root keys inside an overlap tuple (see
-// UncoveredFromJointCounts).
-inline constexpr char kTupleSeparator = '\x1e';
-
 // Evaluates the inclusion-exclusion sum of Sec. IV-A from a block's joint
 // overlap counts: `joint` maps each tuple of dominating-family root keys
 // (joined with kTupleSeparator, `num_dominating` components) to the number

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "core/er_driver.h"
+#include "mapreduce/job.h"
 #include "mapreduce/pipeline.h"
 #include "mapreduce/serde.h"
 
@@ -113,8 +114,7 @@ class IdTable {
 // way BuildForests + ComputeUncoveredPairs build it from the whole dataset,
 // without a string-keyed map per block or per subset:
 //   - blocks get dense ids by their full path (as Forest::by_path keys
-//     them), and the first record reaching a path fixes its level and
-//     parent;
+//     them);
 //   - overlap tuples get dense ids, and so does each of their components,
 //     split as UncoveredFromJointCounts splits them;
 //   - for every non-empty subset mask of the dominating families, every
@@ -492,29 +492,23 @@ StatsJobOutput RunStatisticsJob(const Dataset& dataset,
   for (int f = 0; f < config.num_families(); ++f) {
     output.forests[static_cast<size_t>(f)].family = f;
   }
-  std::vector<int> node_of(records.size());
-  for (size_t i = 0; i < records.size(); ++i) {
-    const StatsRecord& record = records[i];
+  // Keys hold no path separator, so a parent sorts a level before its
+  // children.
+  for (const StatsRecord& record : records) {
     Forest& forest = output.forests[static_cast<size_t>(record.family)];
-    node_of[i] = static_cast<int>(forest.nodes.size());
-    forest.by_path.emplace(record.path, node_of[i]);
+    const int n = static_cast<int>(forest.nodes.size());
+    forest.by_path.emplace(record.path, n);
     BlockNode node;
     node.id = {record.family, record.level, record.path};
     node.size = record.size;
     node.uncov = record.uncov;
-    if (record.level == 1) forest.roots.push_back(node_of[i]);
+    if (record.level == 1) {
+      forest.roots.push_back(n);
+    } else {
+      node.parent = forest.by_path.at(record.parent_path);
+      forest.nodes[static_cast<size_t>(node.parent)].children.push_back(n);
+    }
     forest.nodes.push_back(std::move(node));
-  }
-  // Parents are linked once every block is indexed: a block's level comes
-  // from the first record reaching its path, so where keys hold the path
-  // separator a parent need not sort before its child.
-  for (size_t i = 0; i < records.size(); ++i) {
-    const StatsRecord& record = records[i];
-    if (record.level == 1) continue;
-    Forest& forest = output.forests[static_cast<size_t>(record.family)];
-    const int parent = forest.by_path.at(record.parent_path);
-    forest.nodes[static_cast<size_t>(node_of[i])].parent = parent;
-    forest.nodes[static_cast<size_t>(parent)].children.push_back(node_of[i]);
   }
   return output;
 }

@@ -5,7 +5,8 @@
 #include <vector>
 
 #include "blocking/forest.h"
-#include "mapreduce/job.h"
+#include "mapreduce/cluster.h"
+#include "mapreduce/counters.h"
 #include "model/dataset.h"
 
 namespace progres {

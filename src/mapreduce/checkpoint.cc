@@ -296,6 +296,7 @@ bool CheckpointStore::LoadPersisted(int t, TaskCheckpoint* checkpoint) {
     if (reader.ok) checkpoint->counters.Increment(name, value);
   }
   checkpoint->encoded_outputs = std::string(reader.Blob());
+  checkpoint->output_bytes = checkpoint->encoded_outputs.size();
   const std::string_view state = reader.Blob();
   if (!reader.ok || reader.pos != reader.data.size()) return corrupt();
   checkpoint->driver_state =

@@ -45,13 +45,13 @@ struct TaskCheckpoint {
   int64_t groups = 0;       // reduce groups fully processed
   int64_t records_in = 0;   // input values consumed
   int64_t pairs_out = 0;    // pairs emitted
-  size_t outputs = 0;       // length of the task's output vector
+  size_t outputs = 0;       // pairs in the task's outputs
+  size_t output_bytes = 0;  // length of the task's encoded outputs
   Counters counters;        // user counters at the boundary
   std::shared_ptr<const void> driver_state;  // driver save-hook snapshot
-  // KvCodec-encoded copy of the task's output vector at the boundary.
-  // Filled only when the store persists to disk (an in-process restore
-  // reuses the live context's outputs); a resumed *process* decodes it to
-  // rebuild the outputs a dead process can no longer hand over.
+  // Copy of the task's encoded outputs at the boundary. Filled only when
+  // the store persists to disk (an in-process restore truncates the live
+  // outputs); a resumed *process* takes over the persisted copy.
   std::string encoded_outputs;
 };
 

@@ -30,132 +30,71 @@ bool ParseExecutionBackend(const std::string& name, ExecutionBackend* out) {
   return false;
 }
 
-ThreadedExecutor::ThreadedExecutor(int threads)
-    : pool_(new ThreadPool(std::max(1, threads))) {}
-
-ThreadedExecutor::~ThreadedExecutor() = default;
-
-int ThreadedExecutor::threads() const { return pool_->num_threads(); }
-
-size_t ThreadedExecutor::BeginAttempt(TaskPhase phase, int task, int attempt) {
-  WallAttempt record;
-  record.phase = phase;
-  record.task = task;
-  record.attempt = attempt;
-  record.worker = std::max(0, ThreadPool::CurrentWorker());
-  record.start = Now();
-  std::lock_guard<std::mutex> lock(mu_);
-  attempts_.push_back(record);
-  return attempts_.size() - 1;
-}
-
-void ThreadedExecutor::EndAttempt(size_t token, bool failed, bool timed_out) {
-  const double end = Now();
-  std::lock_guard<std::mutex> lock(mu_);
-  WallAttempt& record = attempts_[token];
-  record.end = end;
-  record.failed = failed;
-  record.timed_out = timed_out;
-}
-
-void ThreadedExecutor::EndPhase(TaskPhase phase) {
-  const double end = Now();
-  std::lock_guard<std::mutex> lock(mu_);
-  if (phase == TaskPhase::kMap) {
-    map_end_ = end;
-  } else {
-    reduce_end_ = end;
-  }
-}
-
-double ThreadedExecutor::phase_end(TaskPhase phase) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return phase == TaskPhase::kMap ? map_end_ : reduce_end_;
-}
-
-std::vector<WallAttempt> ThreadedExecutor::attempts() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return attempts_;
-}
-
-bool ThreadedExecutor::WinningAttempt(TaskPhase phase, int task,
-                                      WallAttempt* out) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  // The winner is the task's only non-failed attempt (the runner stops the
-  // chain at it), so a plain scan suffices.
-  for (const WallAttempt& record : attempts_) {
-    if (record.phase != phase || record.task != task) continue;
-    if (record.failed) continue;
-    *out = record;
-    return true;
-  }
-  return false;
-}
-
-void ThreadedExecutor::StampAttemptSpans(TraceRecorder* trace, int pid) const {
-  const std::vector<WallAttempt> snapshot = attempts();
-  for (const WallAttempt& record : snapshot) {
-    TraceSpan span;
-    span.kind = SpanKind::kAttempt;
-    span.phase = record.phase;
-    span.pid = pid;
-    span.task = record.task;
-    span.attempt = record.attempt;
-    span.machine = -1;  // no machine fault domain on the wall clock
-    span.slot = record.worker;
-    span.start = record.start;
-    span.end = record.end;
-    span.outcome = record.timed_out  ? SpanOutcome::kTimedOut
-                   : record.failed  ? SpanOutcome::kFailed
-                                    : SpanOutcome::kCompleted;
-    trace->RecordSpan(span);
-  }
-}
-
 ExecutionSeam::ExecutionSeam(const ClusterConfig& cluster,
                              const JobTiming& timing)
     : timing_(timing),
       trace_(cluster.trace),
       map_slots_per_machine_(cluster.map_slots_per_machine),
       reduce_slots_per_machine_(cluster.reduce_slots_per_machine),
-      executor_(cluster.backend == ExecutionBackend::kThreaded
-                    ? std::make_unique<ThreadedExecutor>(
-                          cluster.execution_threads)
-                    : nullptr) {}
+      pool_(cluster.backend == ExecutionBackend::kThreaded
+                ? std::make_unique<ThreadPool>(
+                      std::max(1, cluster.execution_threads))
+                : nullptr) {}
+
+ExecutionSeam::~ExecutionSeam() = default;
 
 int ExecutionSeam::threads() const {
-  return executor_ != nullptr ? executor_->threads() : 1;
-}
-
-ThreadPool* ExecutionSeam::pool() const {
-  return executor_ != nullptr ? executor_->pool() : nullptr;
+  return pool_ != nullptr ? pool_->num_threads() : 1;
 }
 
 size_t ExecutionSeam::BeginAttempt(TaskPhase phase, int task, int attempt) {
-  return executor_ != nullptr ? executor_->BeginAttempt(phase, task, attempt)
-                              : 0;
+  if (pool_ == nullptr) return 0;
+  TraceSpan span;
+  span.phase = phase;
+  span.task = task;
+  span.attempt = attempt;
+  span.slot = std::max(0, ThreadPool::CurrentWorker());
+  span.start = epoch_.ElapsedSeconds();
+  std::lock_guard<std::mutex> lock(mu_);
+  attempts_.push_back(span);
+  return attempts_.size() - 1;
 }
 
 void ExecutionSeam::EndAttempt(size_t token, bool failed, bool timed_out) {
-  if (executor_ != nullptr) executor_->EndAttempt(token, failed, timed_out);
+  if (pool_ == nullptr) return;
+  const double end = epoch_.ElapsedSeconds();
+  std::lock_guard<std::mutex> lock(mu_);
+  TraceSpan& span = attempts_[token];
+  span.end = end;
+  span.outcome = timed_out ? SpanOutcome::kTimedOut
+                 : failed  ? SpanOutcome::kFailed
+                           : SpanOutcome::kCompleted;
 }
 
 void ExecutionSeam::EndPhase(TaskPhase phase) {
-  if (executor_ != nullptr) executor_->EndPhase(phase);
+  if (pool_ == nullptr) return;
+  const double end = epoch_.ElapsedSeconds();
+  std::lock_guard<std::mutex> lock(mu_);
+  (phase == TaskPhase::kMap ? map_end_ : reduce_end_) = end;
 }
 
 TraceRecorder* ExecutionSeam::scheduler_trace() const {
-  return executor_ != nullptr ? nullptr : trace_;
+  return pool_ != nullptr ? nullptr : trace_;
 }
 
 void ExecutionSeam::StampAttempts() const {
-  if (executor_ == nullptr || trace_ == nullptr) return;
-  executor_->StampAttemptSpans(trace_, trace_->current_pid());
+  if (pool_ == nullptr || trace_ == nullptr) return;
+  const int pid = trace_->current_pid();
+  std::lock_guard<std::mutex> lock(mu_);
+  for (TraceSpan span : attempts_) {
+    span.pid = pid;
+    trace_->RecordSpan(span);
+  }
 }
 
 void ExecutionSeam::MarkCheckpoint(SpanKind kind, int task,
                                    double cost_units) const {
-  if (executor_ == nullptr || trace_ == nullptr) return;
+  if (pool_ == nullptr || trace_ == nullptr) return;
   TraceSpan span;
   span.kind = kind;
   span.phase = TaskPhase::kReduce;
@@ -163,18 +102,24 @@ void ExecutionSeam::MarkCheckpoint(SpanKind kind, int task,
   span.task = task;
   span.machine = -1;
   span.slot = ThreadPool::CurrentWorker();
-  span.start = executor_->Now();
+  span.start = epoch_.ElapsedSeconds();
   span.end = span.start;
   span.cost_units = cost_units;
   trace_->RecordSpan(span);
 }
 
 bool ExecutionSeam::Winner(TaskPhase phase, int task, TraceAnchor* out) const {
-  if (executor_ != nullptr) {
-    WallAttempt winner;
-    if (!executor_->WinningAttempt(phase, task, &winner)) return false;
-    *out = {winner.attempt, -1, winner.worker, winner.start, winner.end};
-    return true;
+  if (pool_ != nullptr) {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const TraceSpan& a : attempts_) {
+      if (a.phase != phase || a.task != task ||
+          a.outcome != SpanOutcome::kCompleted) {
+        continue;
+      }
+      *out = {a.attempt, -1, a.slot, a.start, a.end};
+      return true;
+    }
+    return false;
   }
   const bool map = phase == TaskPhase::kMap;
   const int slots_per_machine =
@@ -189,16 +134,15 @@ bool ExecutionSeam::Winner(TaskPhase phase, int task, TraceAnchor* out) const {
 }
 
 double ExecutionSeam::Barrier(TaskPhase phase) const {
-  if (executor_ != nullptr) return executor_->phase_end(phase);
+  if (pool_ != nullptr) {
+    std::lock_guard<std::mutex> lock(mu_);
+    return phase == TaskPhase::kMap ? map_end_ : reduce_end_;
+  }
   return phase == TaskPhase::kMap ? timing_.map_end : timing_.end;
 }
 
 double ExecutionSeam::Submission() const {
-  return executor_ != nullptr ? 0.0 : timing_.start;
-}
-
-double ExecutionSeam::CutStart(double deadline, double end) const {
-  return executor_ != nullptr ? end : deadline;
+  return pool_ != nullptr ? 0.0 : timing_.start;
 }
 
 }  // namespace progres

@@ -42,69 +42,6 @@ const char* ToString(ExecutionBackend backend);
 // `*out` untouched) on anything else.
 bool ParseExecutionBackend(const std::string& name, ExecutionBackend* out);
 
-// One task attempt as executed on the wall clock by the threaded backend.
-// Unlike TaskAttemptTiming (simulated, deterministic), these are real
-// measurements: start/end are seconds since the executor's epoch and vary
-// run to run. `worker` is the pool worker lane the attempt ran on.
-struct WallAttempt {
-  TaskPhase phase = TaskPhase::kMap;
-  int task = 0;
-  int attempt = 0;
-  int worker = 0;
-  double start = 0.0;
-  double end = 0.0;
-  bool failed = false;     // injected failure, hang or poison crash
-  bool timed_out = false;  // hung attempt (killed by heartbeat timeout)
-};
-
-// The threaded backend's engine: owns the worker pool and records the
-// wall-clock timeline of every attempt executed on it. Thread-safe — the
-// Begin/EndAttempt hooks are called concurrently from pool workers.
-class ThreadedExecutor {
- public:
-  explicit ThreadedExecutor(int threads);
-  ~ThreadedExecutor();
-
-  ThreadedExecutor(const ThreadedExecutor&) = delete;
-  ThreadedExecutor& operator=(const ThreadedExecutor&) = delete;
-
-  int threads() const;
-  ThreadPool* pool() { return pool_.get(); }
-
-  // Monotonic wall seconds since construction.
-  double Now() const { return epoch_.ElapsedSeconds(); }
-
-  // Attempt observer: BeginAttempt stamps the start time and worker lane
-  // and returns a token; EndAttempt stamps the end time and outcome.
-  size_t BeginAttempt(TaskPhase phase, int task, int attempt);
-  void EndAttempt(size_t token, bool failed, bool timed_out);
-
-  // Marks the phase barrier (all of the phase's attempts have finished).
-  void EndPhase(TaskPhase phase);
-  double phase_end(TaskPhase phase) const;
-
-  // Snapshot of every recorded attempt, in completion order.
-  std::vector<WallAttempt> attempts() const;
-
-  // The winning (last, non-failed) executed attempt of `task` in `phase`.
-  // Returns false if the task never completed an attempt successfully.
-  bool WinningAttempt(TaskPhase phase, int task, WallAttempt* out) const;
-
-  // Stamps one kAttempt trace span per executed attempt into `trace`, on
-  // wall-clock time. Worker lanes stand in for slots; there is no machine
-  // fault domain on the wall clock, so machine is -1 and spans carry no
-  // speculative flag (the threaded backend rejects speculation).
-  void StampAttemptSpans(TraceRecorder* trace, int pid) const;
-
- private:
-  Stopwatch epoch_;
-  std::unique_ptr<ThreadPool> pool_;
-  mutable std::mutex mu_;
-  std::vector<WallAttempt> attempts_;
-  double map_end_ = 0.0;
-  double reduce_end_ = 0.0;
-};
-
 // Where a task's winning attempt sits on the trace clock.
 struct TraceAnchor {
   int attempt = 0;
@@ -114,16 +51,19 @@ struct TraceAnchor {
   double end = 0.0;
 };
 
-// The backend seam of one job run: the only place MapReduceJob::Run
+// The backend seam of one job run: the only place JobRuntime::Run
 // consults ClusterConfig::backend. It picks the pool the attempt chains run
 // on and tells the run's single trace emitter where the trace clock puts
 // things. The simulated backend traces on the timing model's timeline
-// (`timing`, which the run fills as it goes); the threaded backend traces
-// on its executor's wall clock.
+// (`timing`, which the run fills as it goes). The threaded backend owns a
+// worker pool and records every attempt it runs on a monotonic wall clock
+// started with the seam, and traces on that clock. Thread-safe: the
+// attempt and checkpoint marks come concurrently from pool workers.
 class ExecutionSeam {
  public:
   // `timing` must outlive the seam.
   ExecutionSeam(const ClusterConfig& cluster, const JobTiming& timing);
+  ~ExecutionSeam();
 
   ExecutionSeam(const ExecutionSeam&) = delete;
   ExecutionSeam& operator=(const ExecutionSeam&) = delete;
@@ -133,10 +73,10 @@ class ExecutionSeam {
   // The pool TaskAttemptRunner::RunAll runs its attempt chains on. Null
   // under the simulated backend, whose chains run serially on the calling
   // thread.
-  ThreadPool* pool() const;
-  // RunAll's attempt observer: the threaded backend measures every attempt
-  // on its wall clock (ThreadedExecutor::Begin/EndAttempt); the simulated
-  // backend observes nothing.
+  ThreadPool* pool() const { return pool_.get(); }
+  // RunAll's attempt observer: the threaded backend stamps every attempt's
+  // start, worker lane, end and outcome on its wall clock and returns a
+  // token for the end; the simulated backend observes nothing.
   size_t BeginAttempt(TaskPhase phase, int task, int attempt);
   void EndAttempt(size_t token, bool failed, bool timed_out);
 
@@ -144,8 +84,8 @@ class ExecutionSeam {
   void EndPhase(TaskPhase phase);
 
   // The trace the timing model records attempt spans into. Null under the
-  // threaded backend, which stamps its measured attempts instead
-  // (StampAttempts).
+  // threaded backend, which stamps its measured attempts instead (machine
+  // -1: the wall clock has no machine fault domain).
   TraceRecorder* scheduler_trace() const;
   void StampAttempts() const;
 
@@ -154,7 +94,8 @@ class ExecutionSeam {
   // the simulated backend records nothing here.
   void MarkCheckpoint(SpanKind kind, int task, double cost_units) const;
 
-  // Task `task`'s winning attempt in `phase`; false if it has none.
+  // Task `task`'s winning attempt in `phase`: its only non-failed one (the
+  // runner stops the chain there). False if it has none.
   bool Winner(TaskPhase phase, int task, TraceAnchor* out) const;
   // When `phase`'s barrier closed.
   double Barrier(TaskPhase phase) const;
@@ -165,15 +106,25 @@ class ExecutionSeam {
   // when it ends at `end` on the trace clock: at the deadline on the timing
   // model's timeline. The wall clock has no deadline point, so there the
   // span collapses onto `end`.
-  double CutStart(double deadline, double end) const;
+  double CutStart(double deadline, double end) const {
+    return pool_ != nullptr ? end : deadline;
+  }
 
  private:
   const JobTiming& timing_;
   TraceRecorder* const trace_;
   const int map_slots_per_machine_;
   const int reduce_slots_per_machine_;
+  const Stopwatch epoch_;
   // Null under the simulated backend.
-  std::unique_ptr<ThreadedExecutor> executor_;
+  std::unique_ptr<ThreadPool> pool_;
+  mutable std::mutex mu_;  // guards the wall-clock records below
+  // The threaded backend's attempts as the kAttempt spans StampAttempts
+  // records, in start order: seconds since the seam's epoch, worker lanes
+  // for slots.
+  std::vector<TraceSpan> attempts_;
+  double map_end_ = 0.0;
+  double reduce_end_ = 0.0;
 };
 
 }  // namespace progres

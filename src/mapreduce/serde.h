@@ -12,7 +12,7 @@ namespace progres {
 // Minimal Hadoop-Writable-style wire encoding. The shuffle's KV blocks and
 // spill runs store records in this form (see shuffle.h), so the codecs are
 // load-bearing: a map output is encoded once on Emit, sorted and merged as
-// bytes under its key codec's raw order, and decoded once for the reduce
+// bytes under the raw key order below, and decoded once for the reduce
 // call. The same helpers also account for shuffle byte volumes (the
 // `shuffle.bytes` counters in the drivers).
 
@@ -83,28 +83,13 @@ inline uint64_t Fnv1a64(std::string_view data,
 template <typename T, typename Enable = void>
 struct KvCodec;
 
-// A key codec also orders encoded keys, so the shuffle can sort and merge
-// records as bytes and decode each one once, for the reduce call.
-// `RawKey` is a cheap handle on one encoded key; ParseRaw reads it from
-// `in` at `*offset`, advancing past the key, and fails exactly where
-// Decode would; RawLess orders two handles as decode-then-operator< orders
-// the keys, so handles neither of which is RawLess than the other belong to
-// equal keys.
-//
-// RawPrefix summarizes a handle in 64 bits that preserve the order: a key
-// RawLess than another never has the larger prefix, so unequal prefixes
-// order their keys without reading them. Keys with equal prefixes are equal
-// when PrefixIsKey(prefix) holds; otherwise only RawLess can order them.
-
 // Integers travel as varints of their two's-complement bit pattern — the
 // same `VarintSize(static_cast<uint64_t>(v))` form the drivers' own
 // "shuffle.bytes" counters use. Callers with many small negatives should
-// ZigZag inside their own codec. The raw handle is the decoded value, and
-// its prefix is the value itself with the sign bit flipped: exact.
+// ZigZag inside their own codec.
 template <typename T>
 struct KvCodec<
     T, std::enable_if_t<std::is_integral_v<T> && !std::is_same_v<T, bool>>> {
-  using RawKey = T;
   static void Encode(const T& value, std::string* out) {
     PutVarint64(static_cast<uint64_t>(value), out);
   }
@@ -114,19 +99,6 @@ struct KvCodec<
     *value = static_cast<T>(raw);
     return true;
   }
-  static bool ParseRaw(std::string_view in, size_t* offset, T* key) {
-    return Decode(in, offset, key);
-  }
-  static bool RawLess(T a, T b) { return a < b; }
-  static uint64_t RawPrefix(T key) {
-    if constexpr (std::is_signed_v<T>) {
-      return static_cast<uint64_t>(static_cast<int64_t>(key)) ^
-             (uint64_t{1} << 63);
-    } else {
-      return static_cast<uint64_t>(key);
-    }
-  }
-  static bool PrefixIsKey(uint64_t /*prefix*/) { return true; }
 };
 
 template <>
@@ -142,41 +114,20 @@ struct KvCodec<bool> {
   }
 };
 
-// The raw handle views the bytes after the length prefix. string_view
-// compares them as unsigned chars and then by length: std::string's order.
-// The prefix holds the first 7 bytes, big-endian and zero-padded, above a
-// low byte of min(size, 8). A key shorter than 8 bytes is then wholly in
-// its prefix (the size byte tells "a" from "a\0"), so only two keys of 8
-// bytes or more can share a prefix and differ.
 template <>
 struct KvCodec<std::string> {
-  using RawKey = std::string_view;
   static void Encode(const std::string& value, std::string* out) {
     PutString(value, out);
   }
   static bool Decode(std::string_view in, size_t* offset, std::string* value) {
     return GetString(in, offset, value);
   }
-  static bool ParseRaw(std::string_view in, size_t* offset,
-                       std::string_view* key) {
-    return GetStringView(in, offset, key);
-  }
-  static bool RawLess(std::string_view a, std::string_view b) { return a < b; }
-  static uint64_t RawPrefix(std::string_view key) {
-    const size_t head = key.size() < 7 ? key.size() : 7;
-    uint64_t prefix = 0;
-    for (size_t i = 0; i < head; ++i) {
-      prefix |= static_cast<uint64_t>(static_cast<uint8_t>(key[i]))
-                << (56 - 8 * i);
-    }
-    return prefix | (key.size() < 8 ? key.size() : 8);
-  }
-  static bool PrefixIsKey(uint64_t prefix) { return (prefix & 0xff) < 8; }
 };
 
 // True when KvCodec<T> provides the Encode/Decode pair the shuffle needs.
-// Shuffle<K, V> static_asserts this for both parameters, so a missing codec
-// is a named compile-time error instead of a silently degraded data plane.
+// MapReduceJob static_asserts this for its key and value types, so a
+// missing codec is a named compile-time error instead of a silently
+// degraded data plane.
 template <typename T>
 concept SerdeEncodable = requires(const T& value, std::string* out,
                                   std::string_view in, size_t* offset,
@@ -185,19 +136,68 @@ concept SerdeEncodable = requires(const T& value, std::string* out,
   { KvCodec<T>::Decode(in, offset, slot) } -> std::convertible_to<bool>;
 };
 
-// True when KvCodec<K> also orders encoded keys (RawKey, ParseRaw, RawLess,
-// RawPrefix and PrefixIsKey above), as every shuffle key type must.
+// The raw key order. The shuffle sorts and merges records as bytes, so it
+// orders *encoded* keys. A shuffle key is a signed integer or a
+// std::string; the job names its key's KeyFormat, and ParseRawKey reads
+// one encoded key of that format into a RawKey. Two RawKeys compare as
+// decode-then-operator< compares their keys, and are equal exactly when
+// those keys are.
+enum class KeyFormat { kInteger, kString };
+
 template <typename K>
-concept RawOrderedKey =
-    SerdeEncodable<K> &&
-    requires(std::string_view in, size_t* offset,
-             typename KvCodec<K>::RawKey* slot,
-             const typename KvCodec<K>::RawKey& key, uint64_t prefix) {
-      { KvCodec<K>::ParseRaw(in, offset, slot) } -> std::convertible_to<bool>;
-      { KvCodec<K>::RawLess(key, key) } -> std::convertible_to<bool>;
-      { KvCodec<K>::RawPrefix(key) } -> std::same_as<uint64_t>;
-      { KvCodec<K>::PrefixIsKey(prefix) } -> std::convertible_to<bool>;
-    };
+constexpr KeyFormat KeyFormatOf() {
+  if constexpr (std::is_same_v<K, std::string>) {
+    return KeyFormat::kString;
+  } else {
+    static_assert(std::is_integral_v<K> && std::is_signed_v<K>,
+                  "a shuffle key is a signed integer or a std::string");
+    return KeyFormat::kInteger;
+  }
+}
+
+// `prefix` summarizes the key in 64 bits that preserve its order; `rest`
+// views the key bytes it does not hold. An integer's prefix is its value
+// with the sign bit flipped, its rest empty. A string's prefix holds its
+// first 7 bytes, big-endian and zero-padded, above a low byte of
+// min(size, 8): a string under 8 bytes is wholly in its prefix (the size
+// byte tells "a" from "a\0"), and a longer one's rest is its bytes from
+// the 8th on. Equal prefixes and equal rests mean equal keys.
+struct RawKey {
+  uint64_t prefix = 0;
+  std::string_view rest;
+};
+
+inline bool operator==(const RawKey& a, const RawKey& b) {
+  return a.prefix == b.prefix && a.rest == b.rest;
+}
+inline bool operator<(const RawKey& a, const RawKey& b) {
+  if (a.prefix != b.prefix) return a.prefix < b.prefix;
+  return a.rest < b.rest;  // string_view compares bytes as unsigned chars
+}
+
+// Reads one encoded key of `format` from `in` at `*offset` into `*key`,
+// advancing past it. Fails exactly where KvCodec<K>::Decode would.
+inline bool ParseRawKey(KeyFormat format, std::string_view in, size_t* offset,
+                        RawKey* key) {
+  if (format == KeyFormat::kInteger) {
+    uint64_t value = 0;
+    if (!GetVarint64(in, offset, &value)) return false;
+    key->prefix = value ^ (uint64_t{1} << 63);
+    key->rest = {};
+    return true;
+  }
+  std::string_view bytes;
+  if (!GetStringView(in, offset, &bytes)) return false;
+  const size_t head = bytes.size() < 7 ? bytes.size() : 7;
+  uint64_t prefix = 0;
+  for (size_t i = 0; i < head; ++i) {
+    prefix |= static_cast<uint64_t>(static_cast<uint8_t>(bytes[i]))
+              << (56 - 8 * i);
+  }
+  key->prefix = prefix | (bytes.size() < 8 ? bytes.size() : 8);
+  key->rest = bytes.size() < 8 ? std::string_view() : bytes.substr(7);
+  return true;
+}
 
 }  // namespace progres
 

@@ -160,6 +160,9 @@ SpillSegmentReader::SpillSegmentReader(const SpillFile& file,
       remaining_(segment.bytes),
       chunk_bytes_(chunk_bytes > 0 ? chunk_bytes : 1) {}
 
+SpillSegmentReader::SpillSegmentReader(std::string bytes)
+    : buffer_(std::move(bytes)) {}
+
 bool SpillSegmentReader::Refill() {
   if (!ok_ || remaining_ == 0) return false;
   // Compact the consumed prefix before growing, keeping the buffer bounded

@@ -118,6 +118,9 @@ class SpillSegmentReader {
  public:
   SpillSegmentReader(const SpillFile& file, const SpillSegment& segment,
                      size_t chunk_bytes);
+  // A segment already in memory: the window holds all of `bytes`, and
+  // Refill has nothing to add.
+  explicit SpillSegmentReader(std::string bytes);
 
   // False after a read failure; the window is then unspecified.
   bool ok() const { return ok_; }
@@ -135,12 +138,12 @@ class SpillSegmentReader {
   bool Refill();
 
  private:
-  const SpillFile* file_;
+  const SpillFile* file_ = nullptr;
   std::string buffer_;
   size_t pos_ = 0;         // consumed prefix of buffer_
   int64_t next_ = 0;       // file offset of the first unread segment byte
   int64_t remaining_ = 0;  // unread segment bytes past the buffer
-  size_t chunk_bytes_;
+  size_t chunk_bytes_ = 1;
   bool ok_ = true;
 };
 

@@ -139,9 +139,9 @@ ShuffleBudget ChaosBudget() {
 }
 
 // The *_disk_faults variant of this suite runs its clean reference out of
-// core only if the base config really spills under the overlays. (The
-// fault seeds below inject disk faults explicitly; the overlay's rates draw
-// none on the clean run's few spill runs.)
+// core, with storage faults recovered, only if the base config really
+// spills and draws disk faults under the overlays. (The fault seeds below
+// inject disk faults explicitly.)
 TEST(TestOverlayTest, BaseConfigSpillsUnderOverlays) {
   if (!testing_util::ForcedSpillOverlayActive()) {
     GTEST_SKIP() << "PROGRES_FORCE_SPILL not set";
@@ -149,6 +149,9 @@ TEST(TestOverlayTest, BaseConfigSpillsUnderOverlays) {
   const ChaosWorld& w = World();
   ASSERT_FALSE(w.clean.failed) << w.clean.error;
   EXPECT_GT(w.clean.counters.Get("mr.spill.runs"), 0);
+  if (testing_util::DiskFaultOverlayActive()) {
+    EXPECT_GT(testing_util::DiskFaultTally(w.clean.counters), 0);
+  }
 }
 
 TEST(ChaosTest, TenSeedsResolveIdenticalNonQuarantinedPairs) {

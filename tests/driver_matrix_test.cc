@@ -265,9 +265,8 @@ TEST(ShuffleBytesTest, DriverCounterMatchesEncodedBytes) {
 // The *_forced_spill and *_disk_faults variants of this suite test the
 // out-of-core path only if both of its cluster factories really spill under
 // them: RunGoldenDriver (one kSpillWrite span per spill run) and the grid's
-// RunMatrixConfig. The disk-fault overlay's rates draw no fault on either
-// factory's spill runs at their fault seed, so that overlay is not checked
-// for injected faults here.
+// RunMatrixConfig; the *_disk_faults variant tests the storage fault
+// domain only if both factories' resolution jobs draw disk faults.
 TEST(TestOverlayTest, GoldenDriverAndGridSpillUnderOverlays) {
   if (!testing_util::ForcedSpillOverlayActive()) {
     GTEST_SKIP() << "PROGRES_FORCE_SPILL not set";
@@ -284,6 +283,14 @@ TEST(TestOverlayTest, GoldenDriverAndGridSpillUnderOverlays) {
       {TreeScheduler::kOurs, MapEmission::kPerBlock, 2, false});
   ASSERT_FALSE(grid.result.failed) << grid.result.error;
   EXPECT_GT(grid.result.counters.Get("mr.spill.runs"), 0);
+  if (!testing_util::DiskFaultOverlayActive()) return;
+  EXPECT_GT(testing_util::DiskFaultTally(grid.result.counters), 0);
+  ClusterConfig cluster = testing_util::GoldenCluster();
+  testing_util::ApplyTestOverlays(&cluster);
+  const ErRunResult golden = testing_util::RunGoldenEr(
+      testing_util::MakeGoldenWorkload(), "progressive_perblock", cluster);
+  ASSERT_FALSE(golden.failed) << golden.error;
+  EXPECT_GT(testing_util::DiskFaultTally(golden.counters), 0);
 }
 
 // Differential: the final duplicate set is a function of the workload, not

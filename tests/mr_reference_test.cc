@@ -311,6 +311,42 @@ std::string PaddedValue(const K& key, int number) {
   return std::string(width - digits.size(), '0') + digits;
 }
 
+// Collects a merge's groups as a typed reduce side would, decoding every
+// record's key (the merge passes the key's length) to check that each
+// record sits in its key's group.
+template <typename K>
+class CollectingSink final : public Shuffle::MergeSink {
+ public:
+  bool Take(std::string_view in, size_t key_size, bool opens,
+            size_t* size) override {
+    size_t offset = 0;
+    K key{};
+    std::string value;
+    if (!KvCodec<K>::Decode(in, &offset, &key) ||
+        !KvCodec<std::string>::Decode(in, &offset, &value)) {
+      return false;
+    }
+    size_t key_end = 0;
+    K again{};
+    EXPECT_TRUE(KvCodec<K>::Decode(in, &key_end, &again));
+    EXPECT_EQ(key_end, key_size);
+    if (opens) {
+      groups.emplace_back(key, std::vector<std::string>());
+    } else {
+      EXPECT_FALSE(groups.empty());
+      if (groups.empty()) return false;
+      EXPECT_EQ(key, groups.back().first) << "record outside its key's group";
+    }
+    groups.back().second.push_back(std::move(value));
+    *size = offset;
+    return true;
+  }
+  void Finish() override { finished = true; }
+
+  std::vector<std::pair<K, std::vector<std::string>>> groups;
+  bool finished = false;
+};
+
 // Merges exactly `sources` sorted sources of one partition through
 // Shuffle::Merge and checks its groups against a stable sort of the pairs
 // in (map task, emission) order: the same keys in the same order, each
@@ -320,21 +356,20 @@ std::string PaddedValue(const K& key, int number) {
 template <typename K>
 void ExpectMergeMatchesStableSort(const std::vector<K>& pool, int sources) {
   SCOPED_TRACE("sources " + std::to_string(sources));
-  using S = Shuffle<K, std::string>;
   constexpr int kRun = 3;
   std::string error;
-  typename S::SpillConfig spill;
+  Shuffle::SpillConfig spill;
   spill.enabled = true;
   spill.task_buffer_bytes = static_cast<int64_t>(kRun * kRecordBytes);
   spill.block_bytes = 4096;
   spill.dir = ResolveSpillDir("", &error);
   ASSERT_TRUE(error.empty()) << error;
-  S shuffle(1);
+  Shuffle shuffle(1, KeyFormatOf<K>());
   shuffle.set_spill(spill);
 
   const int outputs = std::min(sources, 16);
-  std::vector<std::unique_ptr<typename S::MapOutput>> maps;
-  std::vector<typename S::MapOutput*> views;
+  std::vector<std::unique_ptr<Shuffle::MapOutput>> maps;
+  std::vector<Shuffle::MapOutput*> views;
   std::vector<std::pair<K, std::string>> pairs;  // (map task, emission)
   Rng rng(static_cast<uint64_t>(sources) * 7919);
   int expected_tails = 0;
@@ -345,12 +380,15 @@ void ExpectMergeMatchesStableSort(const std::vector<K>& pool, int sources) {
         tail ? (owned - 1) * kRun + 1 + static_cast<int>(rng.UniformInt(0, 1))
              : owned * kRun;
     if (tail) ++expected_tails;
-    auto& map = maps.emplace_back(std::make_unique<typename S::MapOutput>());
+    auto& map = maps.emplace_back(std::make_unique<Shuffle::MapOutput>());
     map->Reset(shuffle, i);
     for (int j = 0; j < records; ++j) {
       const K& key = pool[rng.UniformU64(pool.size())];
       std::string value = PaddedValue(key, static_cast<int>(pairs.size()));
-      map->Add(key, value);
+      std::string record;
+      KvCodec<K>::Encode(key, &record);
+      KvCodec<std::string>::Encode(value, &record);
+      map->Add(0, record);
       pairs.emplace_back(key, std::move(value));
     }
     ASSERT_TRUE(map->spill_error().empty()) << map->spill_error();
@@ -361,23 +399,26 @@ void ExpectMergeMatchesStableSort(const std::vector<K>& pool, int sources) {
                      return a.first < b.first;
                    });
 
-  typename S::Merge merge(shuffle, views, 0);
+  Shuffle::Merge merge(shuffle, views, 0);
+  ASSERT_TRUE(merge.spilled());
   ASSERT_EQ(merge.records(), pairs.size());
-  size_t at = 0;
-  merge.ForEachGroup(merge.records() + 1,
-                     [&](const K& key, std::vector<std::string>* values) {
-                       ASSERT_LT(at, pairs.size());
-                       EXPECT_EQ(key, pairs[at].first) << "group at " << at;
-                       for (const std::string& value : *values) {
-                         ASSERT_LT(at, pairs.size());
-                         EXPECT_EQ(value, pairs[at].second) << "record " << at;
-                         ++at;
-                       }
-                       if (at < pairs.size()) {
-                         EXPECT_NE(pairs[at].first, key) << "group split";
-                       }
-                     });
+  CollectingSink<K> sink;
+  merge.ForEachGroup(merge.records() + 1, sink);
   EXPECT_TRUE(merge.stats().error.empty()) << merge.stats().error;
+  EXPECT_TRUE(sink.finished);
+  size_t at = 0;
+  for (const auto& [key, values] : sink.groups) {
+    ASSERT_LT(at, pairs.size());
+    EXPECT_EQ(key, pairs[at].first) << "group at " << at;
+    for (const std::string& value : values) {
+      ASSERT_LT(at, pairs.size());
+      EXPECT_EQ(value, pairs[at].second) << "record " << at;
+      ++at;
+    }
+    if (at < pairs.size()) {
+      EXPECT_NE(pairs[at].first, key) << "group split";
+    }
+  }
   EXPECT_EQ(at, pairs.size());
   EXPECT_EQ(merge.stats().runs_merged + expected_tails, sources);
 }

@@ -1,12 +1,18 @@
 #include <algorithm>
+#include <array>
+#include <mutex>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/progressive_er.h"
 #include "datagen/generators.h"
+#include "er_golden_util.h"
 #include "eval/recall_curve.h"
 #include "mechanism/psnm.h"
 #include "mechanism/sorted_neighbor.h"
+#include "test_overlays.h"
 
 namespace progres {
 namespace {
@@ -189,6 +195,93 @@ TEST(ProgressiveErTest, AlphaControlsChunkCount) {
   // With a huge alpha there is exactly one chunk per reduce task.
   EXPECT_EQ(coarse_run.chunks.size(),
             static_cast<size_t>(TestCluster().reduce_slots()));
+}
+
+// Sorted-neighbor resolution that records the sub-range restriction of
+// every request it receives (the threaded backend calls it concurrently).
+class RecordingMechanism final : public ProgressiveMechanism {
+ public:
+  using Range = std::array<int64_t, 4>;  // a_lo, a_hi, b_lo, b_hi
+
+  std::string name() const override { return sn_.name(); }
+  ResolveOutcome Resolve(const ResolveRequest& request) const override {
+    const ResolveOptions& o = request.options;
+    if (o.sub_a_hi >= 0) {
+      const std::lock_guard<std::mutex> lock(mu_);
+      sub_ranges_.push_back({o.sub_a_lo, o.sub_a_hi, o.sub_b_lo, o.sub_b_hi});
+    }
+    return sn_.Resolve(request);
+  }
+
+  // The sub-ranges requested since the last call, sorted.
+  std::vector<Range> TakeSubRanges() const {
+    const std::lock_guard<std::mutex> lock(mu_);
+    std::vector<Range> ranges = std::move(sub_ranges_);
+    sub_ranges_.clear();
+    std::sort(ranges.begin(), ranges.end());
+    return ranges;
+  }
+
+ private:
+  const SortedNeighborMechanism sn_;
+  mutable std::mutex mu_;
+  mutable std::vector<Range> sub_ranges_;
+};
+
+// BlockSplit's sub-block units through the whole driver: on the mega-block
+// golden profile, 8 machines give 16 reduce tasks, so the mega block is
+// split. Every kSub unit of the schedule must reach the mechanism exactly
+// once, restricted to its own sub-range, and the duplicates must not
+// depend on the backend or on spilling.
+TEST(ProgressiveErTest, BlockSplitSubUnitsReachTheMechanism) {
+  const testing_util::GoldenWorkload w = testing_util::MakeGoldenWorkload(0.3);
+  const ProbabilityModel prob =
+      ProbabilityModel::Train(w.train.dataset, w.train.truth, w.blocking);
+  RecordingMechanism mechanism;
+  ProgressiveErOptions options;
+  options.cluster = testing_util::GoldenCluster();
+  options.cluster.machines = 8;
+  options.scheduler = TreeScheduler::kBlockSplit;
+
+  const ProgressiveEr::Preprocessed pre =
+      ProgressiveEr(w.blocking, w.match, mechanism, prob, options)
+          .Preprocess(w.data.dataset);
+  ASSERT_FALSE(pre.failed) << pre.error;
+  std::vector<RecordingMechanism::Range> scheduled;
+  for (const std::vector<MatchTask>& units : pre.schedule.task_units) {
+    for (const MatchTask& unit : units) {
+      if (unit.kind != MatchTask::Kind::kSub) continue;
+      scheduled.push_back({unit.a_lo, unit.a_hi, unit.b_lo, unit.b_hi});
+    }
+  }
+  ASSERT_FALSE(scheduled.empty()) << "no block was split";
+  std::sort(scheduled.begin(), scheduled.end());
+  EXPECT_TRUE(mechanism.TakeSubRanges().empty());
+
+  std::vector<PairKey> reference;
+  for (const bool spill : {false, true}) {
+    for (const ExecutionBackend backend :
+         {ExecutionBackend::kSimulated, ExecutionBackend::kThreaded}) {
+      SCOPED_TRACE(std::string(spill ? "spilled " : "in memory ") +
+                   ToString(backend));
+      ProgressiveErOptions run_options = options;
+      run_options.cluster.backend = backend;
+      if (spill) {
+        run_options.cluster.shuffle_budget = testing_util::TinySpillBudget();
+      }
+      const ErRunResult run =
+          ProgressiveEr(w.blocking, w.match, mechanism, prob, run_options)
+              .Run(w.data.dataset);
+      ASSERT_FALSE(run.failed) << run.error;
+      if (spill) {
+        EXPECT_GT(run.counters.Get("mr.spill.runs"), 0);
+      }
+      EXPECT_EQ(mechanism.TakeSubRanges(), scheduled);
+      ASSERT_FALSE(run.duplicates.empty());
+      if (reference.empty()) reference = run.duplicates;
+      EXPECT_EQ(run.duplicates, reference);
+    }
+  }
 }
 
 }  // namespace

@@ -266,52 +266,52 @@ TEST(KvCodecTest, RandomKvStreamRoundTrip) {
 // ---- Raw key order: sorting and merging encoded keys ----
 
 // Encodes `keys` and checks the raw order against the decoded one on every
-// ordered pair: RawLess must equal decode-then-operator<, and raw equality
-// (neither handle RawLess than the other) must equal ==. The merge's
-// 64-bit prefixes must agree with that order: a smaller prefix means a
-// smaller key, and equal prefixes that PrefixIsKey vouches for mean equal
-// keys. ParseRaw must consume exactly the encoded key, and fail on every
-// truncation exactly where Decode does.
+// ordered pair: RawKey's operator< must equal decode-then-operator<, and its
+// operator== must equal ==. The merge's 64-bit prefixes must agree with
+// that order: a smaller prefix means a smaller key, equal prefixes mean
+// rests that are both empty or both not, and equal prefixes with empty
+// rests mean equal keys. ParseRawKey must consume exactly the encoded key,
+// and fail on every truncation exactly where Decode does.
 template <typename K>
 void ExpectRawOrderMatchesDecoded(const std::vector<K>& keys) {
-  using Codec = KvCodec<K>;
+  constexpr KeyFormat kFormat = KeyFormatOf<K>();
   std::vector<std::string> encoded(keys.size());
-  std::vector<typename Codec::RawKey> raw(keys.size());
+  std::vector<RawKey> raw(keys.size());
   std::vector<K> decoded(keys.size());
   for (size_t i = 0; i < keys.size(); ++i) {
-    Codec::Encode(keys[i], &encoded[i]);
+    KvCodec<K>::Encode(keys[i], &encoded[i]);
     size_t offset = 0;
-    ASSERT_TRUE(Codec::ParseRaw(encoded[i], &offset, &raw[i])) << i;
+    ASSERT_TRUE(ParseRawKey(kFormat, encoded[i], &offset, &raw[i])) << i;
     EXPECT_EQ(offset, encoded[i].size()) << i;
     offset = 0;
-    ASSERT_TRUE(Codec::Decode(encoded[i], &offset, &decoded[i])) << i;
+    ASSERT_TRUE(KvCodec<K>::Decode(encoded[i], &offset, &decoded[i])) << i;
     for (size_t cut = 0; cut < encoded[i].size(); ++cut) {
       const std::string_view clipped(encoded[i].data(), cut);
       size_t raw_at = 0;
       size_t decode_at = 0;
-      typename Codec::RawKey raw_key{};
+      RawKey raw_key;
       K key{};
-      EXPECT_EQ(Codec::ParseRaw(clipped, &raw_at, &raw_key),
-                Codec::Decode(clipped, &decode_at, &key))
+      EXPECT_EQ(ParseRawKey(kFormat, clipped, &raw_at, &raw_key),
+                KvCodec<K>::Decode(clipped, &decode_at, &key))
           << "key " << i << " cut at " << cut;
     }
   }
   for (size_t i = 0; i < keys.size(); ++i) {
     for (size_t j = 0; j < keys.size(); ++j) {
-      EXPECT_EQ(Codec::RawLess(raw[i], raw[j]), decoded[i] < decoded[j])
+      EXPECT_EQ(raw[i] < raw[j], decoded[i] < decoded[j])
           << "keys " << i << " and " << j;
-      const bool raw_equal =
-          !Codec::RawLess(raw[i], raw[j]) && !Codec::RawLess(raw[j], raw[i]);
-      EXPECT_EQ(raw_equal, decoded[i] == decoded[j])
+      EXPECT_EQ(raw[i] == raw[j], decoded[i] == decoded[j])
           << "keys " << i << " and " << j;
-      const uint64_t prefix_i = Codec::RawPrefix(raw[i]);
-      const uint64_t prefix_j = Codec::RawPrefix(raw[j]);
-      if (prefix_i < prefix_j) {
+      if (raw[i].prefix < raw[j].prefix) {
         EXPECT_TRUE(decoded[i] < decoded[j]) << "keys " << i << " and " << j;
       }
-      if (prefix_i == prefix_j && Codec::PrefixIsKey(prefix_i)) {
-        EXPECT_TRUE(decoded[i] == decoded[j])
+      if (raw[i].prefix == raw[j].prefix) {
+        EXPECT_EQ(raw[i].rest.empty(), raw[j].rest.empty())
             << "keys " << i << " and " << j;
+        if (raw[i].rest.empty()) {
+          EXPECT_TRUE(decoded[i] == decoded[j])
+              << "keys " << i << " and " << j;
+        }
       }
     }
   }
@@ -322,25 +322,23 @@ void ExpectRawOrderMatchesDecoded(const std::vector<K>& keys) {
 // their input order, which the shuffle relies on for value order.
 template <typename K>
 void ExpectRawIndexSortMatchesDecodedSort(const std::vector<K>& keys) {
-  using Codec = KvCodec<K>;
   std::vector<std::string> encoded(keys.size());
-  std::vector<std::pair<typename Codec::RawKey, size_t>> raw_index;
+  std::vector<std::pair<RawKey, size_t>> raw_index;
   std::vector<std::pair<K, size_t>> decoded_index;
   for (size_t i = 0; i < keys.size(); ++i) {
-    Codec::Encode(keys[i], &encoded[i]);
+    KvCodec<K>::Encode(keys[i], &encoded[i]);
     size_t offset = 0;
-    typename Codec::RawKey raw{};
-    ASSERT_TRUE(Codec::ParseRaw(encoded[i], &offset, &raw));
+    RawKey raw;
+    ASSERT_TRUE(ParseRawKey(KeyFormatOf<K>(), encoded[i], &offset, &raw));
     raw_index.emplace_back(raw, i);
     offset = 0;
     K key{};
-    ASSERT_TRUE(Codec::Decode(encoded[i], &offset, &key));
+    ASSERT_TRUE(KvCodec<K>::Decode(encoded[i], &offset, &key));
     decoded_index.emplace_back(std::move(key), i);
   }
-  std::stable_sort(raw_index.begin(), raw_index.end(),
-                   [](const auto& a, const auto& b) {
-                     return Codec::RawLess(a.first, b.first);
-                   });
+  std::stable_sort(
+      raw_index.begin(), raw_index.end(),
+      [](const auto& a, const auto& b) { return a.first < b.first; });
   std::stable_sort(
       decoded_index.begin(), decoded_index.end(),
       [](const auto& a, const auto& b) { return a.first < b.first; });
@@ -474,17 +472,21 @@ TEST(RawKeyOrderTest, NegativeKeysTravelAsTenByteVarints) {
   KvCodec<int64_t>::Encode(std::numeric_limits<int64_t>::min(), &encoded);
   EXPECT_EQ(encoded.size(), 10u);
   size_t offset = 0;
-  int64_t raw = 0;
-  ASSERT_TRUE(KvCodec<int64_t>::ParseRaw(encoded, &offset, &raw));
-  EXPECT_EQ(raw, std::numeric_limits<int64_t>::min());
-  EXPECT_TRUE(KvCodec<int64_t>::RawLess(raw, 0));
+  RawKey raw;
+  ASSERT_TRUE(ParseRawKey(KeyFormat::kInteger, encoded, &offset, &raw));
+  EXPECT_EQ(raw.prefix, 0u);
+  std::string zero;
+  KvCodec<int64_t>::Encode(0, &zero);
+  RawKey raw_zero;
+  offset = 0;
+  ASSERT_TRUE(ParseRawKey(KeyFormat::kInteger, zero, &offset, &raw_zero));
+  EXPECT_TRUE(raw < raw_zero);
   encoded.clear();
   KvCodec<int>::Encode(-1, &encoded);
   EXPECT_EQ(encoded.size(), 10u);
   offset = 0;
-  int raw_int = 0;
-  ASSERT_TRUE(KvCodec<int>::ParseRaw(encoded, &offset, &raw_int));
-  EXPECT_EQ(raw_int, -1);
+  ASSERT_TRUE(ParseRawKey(KeyFormat::kInteger, encoded, &offset, &raw));
+  EXPECT_EQ(raw.prefix, raw_zero.prefix - 1);
 }
 
 TEST(RawKeyOrderTest, StableIndexSortMatchesDecodedStableSort) {

@@ -71,10 +71,9 @@ BlockingConfig XyzwBlocking() {
 // draws: empty and missing attributes, attributes shorter than every
 // prefix, upper-case letters and bytes >= 0x80, values holding the tuple
 // (0x1e) and path (0x1f) separators inside the keyed prefixes, and exact
-// copies of generated and hand-built records. A root key holding 0x1e
-// shifts the components its dominated families' tuples split into, which
-// the job must reproduce exactly as UncoveredFromJointCounts splits them,
-// trailing components dropped.
+// copies of generated and hand-built records. Blocking keys turn both
+// separators into spaces, so every path and tuple splits back into the
+// keys that built it.
 Dataset OracleDataset() {
   PublicationConfig gen;
   gen.num_entities = 12000;
@@ -96,11 +95,16 @@ Dataset OracleDataset() {
       {"ab\x1e" "cd separator title", "w\x1e" "o more words",
        "ac\x1e" "m\x1f venue"},
       {"a\x1e\x1f\x1e\x1fzzzz", "x\x1fy\x1ez", "\x1e\x1e\x1e"},
-      // Root keys ending in 0x1e: Z's tuples "p\x1e\x1eqqq" and
-      // "r\x1e\x1esss" split into ("p", "") and ("r", ""), so the
-      // reference counts this pair as sharing Y's root.
+      // Title prefixes ending in 0x1e: the root keys "p " and "r " keep
+      // Z's tuples "p \x1eqqq" and "r \x1esss" apart, where a 0x1e kept
+      // in the key would split them into ("p", "") and ("r", "") and count
+      // this pair as sharing Y's root.
       {"p\x1e title", "qqq abstract", "same venue"},
       {"r\x1e title", "sss abstract", "same venue"},
+      // A Y root key holding 0x1f: kept in the key, the root block
+      // "a\x1fa" would take the path of root block "a"'s level-2 block.
+      {"y collision", "a", "y venue"},
+      {"y collision", "a\x1f" "a rest", "y venue"},
   };
   const int64_t generated = dataset.size();
   for (const auto& attributes : hand_built) {
@@ -181,12 +185,11 @@ TEST_P(StatsJobOracleTest, MatchesInMemoryReference) {
 INSTANTIATE_TEST_SUITE_P(Grid, StatsJobOracleTest,
                          testing::ValuesIn(OracleCases()), OracleCaseName);
 
-// A key holding the path separator can give a block the path of a deeper
-// block of the same root: with prefixes 1/3/5, "a\x1fabc" reaches
-// "a␟a␟a" at level 2, where "a" reaches it at level 3. Forest::by_path
-// keys blocks by path, so the reference has one block there, whose level
-// and parent come from the first entity reaching it; the job must build the
-// same, whichever entity comes first.
+// A value holding the path separator inside its keyed prefix: with
+// prefixes 1/3/5, "a\x1fabc" would reach "a␟a␟a" at level 2, where "a"
+// reaches it at level 3, if its keys kept the separator. They turn it into
+// a space, so each block keeps its own path, and the job must build the
+// reference's forest whichever entity comes first.
 TEST(StatsJobTest, CrossLevelPathCollisionMatchesReference) {
   const BlockingConfig config({{"X", 0, {1, 3, 5}, -1}, {"Y", 1, {1}, -1}});
   for (const bool deep_first : {false, true}) {

@@ -11,8 +11,9 @@
 //                          spill runs and the reduce-side k-way merge;
 //   PROGRES_DISK_FAULTS=1  overlays small write-error / torn-write /
 //                          corrupt-run probabilities on every spilling
-//                          config, so the storage fault domain's retry and
-//                          re-run recovery runs everywhere.
+//                          config, and kDiskFaultSeed on one whose fault
+//                          plan was off, so the storage fault domain's
+//                          retry and re-run recovery runs everywhere.
 //
 // Outputs are byte-identical either way by design. Forced spilling only
 // adds "mr.spill.*" bookkeeping; disk faults add "mr.disk.*" counters and,
@@ -46,10 +47,19 @@ inline bool DiskFaultOverlayActive() {
   return std::getenv("PROGRES_DISK_FAULTS") != nullptr;
 }
 
+// The fault seed the disk-fault overlay gives a config whose fault plan it
+// switches on. Disk decisions depend only on (seed, map task, run index,
+// generation); under this seed a write error, a torn write and a corrupt
+// run all fire within the first three runs of map tasks 0-5, where the
+// golden and grid jobs' few runs per task sit. Seed 0 fires none below
+// map task 6 and run index 15.
+inline constexpr uint64_t kDiskFaultSeed = 24;
+
 // Applies the active overlays to `cluster`. Forced spilling replaces only
 // a disabled budget; each disk-fault probability is overlaid only where
-// the config leaves it at zero. Enabling the fault plan with every other
-// family at zero probability changes nothing else.
+// the config leaves it at zero, and the seed only where the fault plan was
+// off. Enabling the fault plan with every other family at zero probability
+// changes nothing else.
 inline void ApplyTestOverlays(ClusterConfig* cluster) {
   ShuffleBudget& budget = cluster->shuffle_budget;
   if (budget.max_bytes == 0 && ForcedSpillOverlayActive()) {
@@ -59,6 +69,7 @@ inline void ApplyTestOverlays(ClusterConfig* cluster) {
   }
   if (budget.max_bytes == 0 || !DiskFaultOverlayActive()) return;
   FaultConfig& fault = cluster->fault;
+  if (!fault.enabled) fault.seed = kDiskFaultSeed;
   fault.enabled = true;
   if (fault.spill_write_error_prob == 0.0) fault.spill_write_error_prob = 0.02;
   if (fault.spill_torn_write_prob == 0.0) fault.spill_torn_write_prob = 0.01;
