@@ -51,6 +51,10 @@ int main(int argc, char** argv) {
   options.alpha = 2000.0;  // publish a chunk every 2000 cost units
   const ProgressiveEr er(blocking, match, psnm, prob, options);
   const ErRunResult result = er.Run(data.dataset);
+  if (result.failed) {
+    std::fprintf(stderr, "resolution failed: %s\n", result.error.c_str());
+    return 1;
+  }
 
   std::printf("Books: %lld entities, %lld true duplicate pairs\n",
               static_cast<long long>(n),

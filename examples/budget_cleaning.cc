@@ -46,6 +46,10 @@ int main(int argc, char** argv) {
   options.cluster.seconds_per_cost_unit = 0.02;
   const ProgressiveEr er(blocking, match, sn, prob, options);
   const ErRunResult result = er.Run(data.dataset);
+  if (result.failed) {
+    std::fprintf(stderr, "resolution failed: %s\n", result.error.c_str());
+    return 1;
+  }
   const RecallCurve curve = RecallCurve::FromEvents(result.events, data.truth);
 
   std::printf("Dataset: %lld publications; full run costs %.0f simulated "

@@ -120,6 +120,10 @@ int main(int argc, char** argv) {
   for (const ProgressiveMechanism* mechanism : mechanisms) {
     const ProgressiveEr er(blocking, match, *mechanism, prob, options);
     const ErRunResult result = er.Run(data.dataset);
+    if (result.failed) {
+      std::fprintf(stderr, "resolution failed: %s\n", result.error.c_str());
+      return 1;
+    }
     const RecallCurve curve =
         RecallCurve::FromEvents(result.events, data.truth);
     std::printf("%-12s final recall %.3f after %.0f s (%lld comparisons)\n",

@@ -49,6 +49,10 @@ int main(int argc, char** argv) {
   options.cluster.seconds_per_cost_unit = 0.02;
   const ProgressiveEr ours(blocking, match, sn, prob, options);
   const ErRunResult ours_result = ours.Run(data.dataset);
+  if (ours_result.failed) {
+    std::fprintf(stderr, "resolution failed: %s\n", ours_result.error.c_str());
+    return 1;
+  }
   const RecallCurve ours_curve =
       RecallCurve::FromEvents(ours_result.events, data.truth);
 
@@ -60,6 +64,10 @@ int main(int argc, char** argv) {
   basic_options.cluster.seconds_per_cost_unit = 0.02;
   const BasicEr basic(basic_blocking, match, sn, basic_options);
   const ErRunResult basic_result = basic.Run(data.dataset);
+  if (basic_result.failed) {
+    std::fprintf(stderr, "resolution failed: %s\n", basic_result.error.c_str());
+    return 1;
+  }
   const RecallCurve basic_curve =
       RecallCurve::FromEvents(basic_result.events, data.truth);
 

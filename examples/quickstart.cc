@@ -49,6 +49,10 @@ int main() {
   options.cluster.machines = 2;
   const ProgressiveEr er(blocking, match, sn, prob, options);
   const ErRunResult result = er.Run(toy.dataset);
+  if (result.failed) {
+    std::fprintf(stderr, "resolution failed: %s\n", result.error.c_str());
+    return 1;
+  }
 
   std::printf("\nDuplicate pairs found (%zu):\n", result.duplicates.size());
   for (PairKey pair : result.duplicates) {

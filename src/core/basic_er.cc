@@ -1,12 +1,10 @@
 #include "core/basic_er.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "core/er_driver.h"
 #include "mapreduce/job.h"
 #include "mapreduce/pipeline.h"
-#include "mapreduce/serde.h"
 #include "redundancy/kolb.h"
 
 namespace progres {
@@ -25,14 +23,11 @@ BasicEr::BasicEr(const BlockingConfig& blocking, const MatchFunction& match,
       options_(std::move(options)) {}
 
 ErRunResult BasicEr::Run(const Dataset& dataset) const {
-  const int map_tasks = options_.num_map_tasks > 0
-                            ? options_.num_map_tasks
-                            : options_.cluster.map_slots();
-  const int reduce_tasks = options_.num_reduce_tasks > 0
-                               ? options_.num_reduce_tasks
-                               : options_.cluster.reduce_slots();
+  const int map_tasks =
+      TaskCount(options_.num_map_tasks, options_.cluster.map_slots());
+  const int reduce_tasks =
+      TaskCount(options_.num_reduce_tasks, options_.cluster.reduce_slots());
   const int num_families = blocking_.num_families();
-  const double spc = options_.cluster.seconds_per_cost_unit;
 
   ErRunResult result;
   if (RejectInvalidAlpha(options_.alpha, &result)) return result;
@@ -54,31 +49,19 @@ ErRunResult BasicEr::Run(const Dataset& dataset) const {
         key.push_back(kPathSeparator);
         key.push_back(static_cast<char>('0' + f));
         ctx->clock().Charge(kMapEmitCost);
-        ctx->counters().Increment("map.emitted_pairs");
-        ctx->counters().Increment(
-            "shuffle.bytes",
-            static_cast<int64_t>(VarintSize(key.size())) +
-                static_cast<int64_t>(key.size()) +
-                VarintSize(static_cast<uint64_t>(e.id)));
         ctx->Emit(key, e.id);
       }
     };
 
-    TaskStateRegistry<ErTaskState> states(reduce_tasks);
-    CheckpointStore checkpoints;
-    if (options_.cluster.control.active()) {
-      // Supervised runs snapshot task state at alpha boundaries so a
-      // deadline cut or quarantine can deliver a checkpointed prefix.
-      states.InstallCheckpointRecovery(&job, options_.alpha, &checkpoints);
-    } else {
-      states.Install(&job);
-    }
+    ResolvingJob<ErTaskState> tasks(reduce_tasks, dataset, options_.cluster,
+                                    options_.alpha);
+    tasks.Install(&job);
 
     const auto reduce_fn = [&, this](const std::string& key,
                                      std::vector<EntityId>* values,
                                      Job::ReduceContext* ctx) {
       const int family = key.back() - '0';
-      ErTaskState& state = states.at(ctx->task_id());
+      ErTaskState& state = tasks.at(ctx->task_id());
 
       std::vector<const Entity*> members;
       members.reserve(values->size());
@@ -108,29 +91,15 @@ ErRunResult BasicEr::Run(const Dataset& dataset) const {
       RecordResolveOutcome(outcome, &state, &ctx->counters());
     };
 
-    Job::Result run = job.Run(dataset.entities(), map_fn, reduce_fn,
-                              options_.cluster, submit_time);
-    SurfaceQuarantinedIds(run.quarantined, dataset.entities(), &result);
-    result.completeness.MergeFrom(run.completeness);
-    if (!run.failed) {
-      result.preprocessing_end = run.timing.map_end;
-      AccumulateReduceTasks(states.states(), run.timing, run.reduce_stats,
-                            spc, options_.alpha, &result,
-                            options_.cluster.trace);
-    }
-    return StageResultFromJob(std::move(run), "basic job");
+    StageResult stage = tasks.Fold(
+        job.Run(dataset.entities(), map_fn, reduce_fn, options_.cluster,
+                submit_time),
+        "basic job", /*emissions=*/true, &result);
+    if (!stage.failed) result.preprocessing_end = stage.timing.map_end;
+    return stage;
   });
 
-  const PipelineResult pipe_result = pipe.Run(/*submit_time=*/0.0);
-  result.counters = pipe_result.counters;
-  result.total_time = pipe_result.end;
-  result.wall_seconds = pipe_result.wall_seconds;
-  if (pipe_result.failed) {
-    result.failed = true;
-    result.error = pipe_result.error;
-    return result;
-  }
-  FinalizeDuplicates(&result);
+  CloseRun(pipe.Run(/*submit_time=*/0.0), &result);
   return result;
 }
 

@@ -14,18 +14,26 @@
 #include "mapreduce/cluster.h"
 #include "mapreduce/cost_clock.h"
 #include "mapreduce/counters.h"
-#include "mapreduce/trace.h"
+#include "mapreduce/job.h"
+#include "mapreduce/pipeline.h"
 #include "mechanism/mechanism.h"
-#include "model/entity.h"
+#include "model/dataset.h"
 
 namespace progres {
 
-// Shared scaffolding of the ER drivers (Basic, MRSN, Progressive, and the
-// statistics job): every driver accumulates external per-reduce-task state
-// alongside its MR job, must rewind that state whenever the job rewinds a
-// reduce task (a retried attempt, a quarantine, a deadline cut), and
-// assembles the same ErRunResult shape from per-task events. This header
-// factors those three concerns out of the drivers.
+// The resolving-job path the ER drivers share (Basic, MRSN, Progressive;
+// the statistics job uses only the task-state registry). Every driver
+// accumulates external per-reduce-task state alongside its MR job, must
+// rewind that state whenever the job rewinds a reduce task (a retried
+// attempt, a quarantine, a deadline cut), folds each finished job into one
+// ErRunResult, and closes that result from its pipeline. This header holds
+// each of those steps once.
+
+// A driver's task count for one phase: `requested`, or one task per slot
+// when it is 0 (the paper's configuration).
+inline int TaskCount(int requested, int slots) {
+  return requested > 0 ? requested : slots;
+}
 
 // The per-reduce-task accumulator every resolving driver shares: the raw
 // duplicate-discovery events (task-local cost order) plus outcome tallies.
@@ -49,16 +57,12 @@ class TaskStateRegistry {
       : states_(static_cast<size_t>(std::max(1, num_tasks))) {}
 
   State& at(int task) { return states_[static_cast<size_t>(task)]; }
-  const State& at(int task) const { return states_[static_cast<size_t>(task)]; }
-  size_t size() const { return states_.size(); }
   std::vector<State>& states() { return states_; }
-  const std::vector<State>& states() const { return states_; }
 
   // Installs the job's task-state hooks: `save` copies the task's State,
   // `restore` replaces it with a snapshot, or with a freshly-constructed
   // State when there is none. State must be copyable.
-  template <typename Job>
-  void Install(Job* job) {
+  void Install(JobRuntime* job) {
     job->set_task_state(
         [this](int task_id) -> std::shared_ptr<const void> {
           return std::make_shared<const State>(
@@ -74,44 +78,107 @@ class TaskStateRegistry {
         });
   }
 
-  // Installs the task-state hooks plus checkpointed recovery
-  // (checkpoint.h): the job snapshots a copy of the task's State at each
-  // alpha-emission boundary and a re-attempt restores the latest snapshot
-  // (or a fresh State when none exists) rather than replaying from scratch.
-  // `store` must outlive the job's Run.
-  //
-  // With `encode`/`decode` supplied, they are installed on the store as its
-  // type-erased driver-state codec, which persisted snapshots need
-  // (CheckpointStore::ConfigurePersistence): a restarted process rebuilds
-  // the State from the serialized blob instead of the dead process's
-  // pointer. `decode` returning false marks the snapshot corrupt.
-  template <typename Job>
-  void InstallCheckpointRecovery(
-      Job* job, double alpha, CheckpointStore* store,
-      std::function<std::string(const State&)> encode = nullptr,
-      std::function<bool(std::string_view, State*)> decode = nullptr) {
-    Install(job);
-    if (encode != nullptr && decode != nullptr) {
-      store->SetStateCodec(
-          [encode = std::move(encode)](
-              const std::shared_ptr<const void>& state) -> std::string {
-            return state == nullptr
-                       ? std::string()
-                       : encode(*static_cast<const State*>(state.get()));
-          },
-          [decode = std::move(decode)](
-              std::string_view blob) -> std::shared_ptr<const void> {
-            auto state = std::make_shared<State>();
-            if (!decode(blob, state.get())) return nullptr;
-            return state;
-          });
-    }
-    job->set_checkpointing(alpha, store);
-  }
-
  private:
   std::vector<State> states_;
 };
+
+// The State-independent half of ResolvingJob: the snapshot rule and the
+// fold of a finished job into the run's result.
+class ResolvingJobBase {
+ public:
+  // The job keeps the addresses of the task states and checkpoints.
+  ResolvingJobBase(const ResolvingJobBase&) = delete;
+  ResolvingJobBase& operator=(const ResolvingJobBase&) = delete;
+
+ protected:
+  // `dataset` and `cluster` must outlive the job.
+  ResolvingJobBase(const Dataset& dataset, const ClusterConfig& cluster,
+                   double alpha)
+      : dataset_(dataset), cluster_(cluster), alpha_(alpha) {}
+
+  // The snapshot rule: `job` snapshots its reduce tasks at each alpha
+  // boundary in a supervised run, where a deadline cut or a quarantine
+  // delivers the latest snapshot, and when the caller asked for
+  // `recovery`, where a re-attempt resumes from it instead of replaying.
+  void Snapshot(JobRuntime* job, bool recovery);
+
+  // ResolvingJob::Fold over the tasks' shared accumulators.
+  StageResult FoldJob(JobReport run,
+                      const std::vector<const ErTaskState*>& states,
+                      const std::string& label, bool emissions,
+                      ErRunResult* result) const;
+
+  CheckpointStore checkpoints_;
+
+ private:
+  const Dataset& dataset_;
+  const ClusterConfig& cluster_;
+  double alpha_;
+};
+
+// The driver side of one resolving MR job: its per-task States, their
+// snapshots, and the fold of the finished job into the run's ErRunResult.
+template <typename State>
+class ResolvingJob : public ResolvingJobBase {
+ public:
+  ResolvingJob(int num_tasks, const Dataset& dataset,
+               const ClusterConfig& cluster, double alpha)
+      : ResolvingJobBase(dataset, cluster, alpha), states_(num_tasks) {}
+
+  State& at(int task) { return states_.at(task); }
+
+  // Installs the task-state hooks on `job` and applies the snapshot rule.
+  void Install(JobRuntime* job, bool recovery = false) {
+    states_.Install(job);
+    Snapshot(job, recovery);
+  }
+
+  // Persists the snapshots to disk (CheckpointStore::ConfigurePersistence
+  // with `dir`, `tag`, `resume` and `crash_after_saves`), each State as
+  // its `encode` blob, from which a restarted process rebuilds it with
+  // `decode`; false from `decode` marks the snapshot corrupt. Needs
+  // Install with `recovery` set.
+  void Persist(const std::string& dir, const std::string& tag, bool resume,
+               int crash_after_saves, std::string (*encode)(const State&),
+               bool (*decode)(std::string_view, State*)) {
+    checkpoints_.SetStateCodec(
+        [encode](const std::shared_ptr<const void>& state) {
+          return state == nullptr
+                     ? std::string()
+                     : encode(*static_cast<const State*>(state.get()));
+        },
+        [decode](std::string_view blob) -> std::shared_ptr<const void> {
+          auto state = std::make_shared<State>();
+          if (!decode(blob, state.get())) return nullptr;
+          return state;
+        });
+    checkpoints_.ConfigurePersistence(dir, tag, resume, crash_after_saves);
+  }
+
+  // Folds the finished `run` into `result` and returns the pipeline stage
+  // it ends, its error labelled "<label>: ...". Every run surfaces its
+  // quarantined entity ids, completeness report and counters. A run that
+  // succeeded also appends each reduce task's tallies, timed events and
+  // alpha chunks (recorded as alpha-emission trace events with a trace
+  // attached), and, with `emissions`, reports its shuffle as the map's
+  // "map.emitted_pairs" and "shuffle.bytes".
+  StageResult Fold(JobReport run, const std::string& label, bool emissions,
+                   ErRunResult* result) {
+    std::vector<const ErTaskState*> states;
+    for (const State& state : states_.states()) states.push_back(&state);
+    return FoldJob(std::move(run), states, label, emissions, result);
+  }
+
+ private:
+  TaskStateRegistry<State> states_;
+};
+
+// Closes a resolving driver's run from its pipeline: the simulated end,
+// the measured wall time, and either the sorted unique duplicates of a run
+// that succeeded or the pipeline's failure. A failed run reports no
+// events, duplicates or chunks and zero comparison tallies, whatever an
+// earlier job of the run (an MRSN pass) had folded.
+void CloseRun(const PipelineResult& pipe, ErRunResult* result);
 
 // The on_duplicate callback the drivers hand to the mechanism: records one
 // discovery as (task-local cost now, pair) into the task's event stream.
@@ -131,53 +198,6 @@ bool RejectInvalidAlpha(double alpha, ErRunResult* result);
 // "reduce.*" counters (shared by the basic and progressive drivers).
 void RecordResolveOutcome(const ResolveOutcome& outcome, ErTaskState* state,
                           Counters* counters);
-
-// Assembles the per-task portion of an ErRunResult after a successful
-// resolution job: aggregate tallies plus the globally-timed event stream
-// and incremental-output chunks of every reduce task, in task order. With a
-// `trace` attached, every incremental-output chunk is also recorded as an
-// alpha-emission trace event (carrying the task-cumulative pair count), on
-// the slot lane of the task's winning reduce attempt.
-template <typename State>
-void AccumulateReduceTasks(const std::vector<State>& states,
-                           const JobTiming& timing,
-                           const std::vector<TaskStats>& reduce_stats,
-                           double seconds_per_cost_unit, double alpha,
-                           ErRunResult* result,
-                           TraceRecorder* trace = nullptr) {
-  for (size_t t = 0; t < reduce_stats.size(); ++t) {
-    const ErTaskState& state = states[t];
-    result->duplicate_count += state.duplicates;
-    result->distinct_count += state.distinct;
-    result->skipped_count += state.skipped;
-    result->comparisons += state.duplicates + state.distinct;
-    const size_t first_chunk = result->chunks.size();
-    AppendTaskEvents(static_cast<int>(t), timing.reduce_start[t],
-                     reduce_stats[t].cost, seconds_per_cost_unit, alpha,
-                     state.raw_events, result);
-    if (trace == nullptr) continue;
-    int slot = -1;
-    for (const TaskAttemptTiming& a : timing.reduce_attempts) {
-      if (a.won && a.task == static_cast<int>(t)) {
-        slot = a.slot;
-        break;
-      }
-    }
-    int64_t cumulative = 0;
-    for (size_t c = first_chunk; c < result->chunks.size(); ++c) {
-      const ResultChunk& chunk = result->chunks[c];
-      cumulative += static_cast<int64_t>(chunk.pairs.size());
-      AlphaEmission emission;
-      emission.pid = trace->current_pid();
-      emission.task = static_cast<int>(t);
-      emission.slot = slot;
-      emission.time = chunk.flush_time;
-      emission.pairs = static_cast<int64_t>(chunk.pairs.size());
-      emission.cumulative_pairs = cumulative;
-      trace->RecordEmission(emission);
-    }
-  }
-}
 
 }  // namespace progres
 

@@ -7,7 +7,6 @@
 
 #include "eval/recall_curve.h"
 #include "mapreduce/counters.h"
-#include "mapreduce/fault.h"
 #include "mapreduce/supervisor.h"
 #include "model/entity.h"
 
@@ -66,8 +65,9 @@ struct ErRunResult {
   // delivered output covers.
   CompletenessReport completeness;
 
-  // Set when an underlying MR job exhausted its fault-injection
-  // max_attempts budget; events/duplicates/chunks are empty in that case.
+  // Set when the run failed: invalid options, or an MR job that failed
+  // (exhausted max_attempts, missed its deadline, ...). A failed run
+  // reports no events, duplicates or chunks and zero comparison tallies.
   bool failed = false;
   std::string error;
 };
@@ -76,27 +76,6 @@ struct ErRunResult {
 // flushed. Used by the alpha ablation to study the publish granularity.
 std::vector<DuplicateEvent> EventsFromChunks(
     const std::vector<ResultChunk>& chunks);
-
-// Shared by the drivers: appends one reduce task's raw duplicate
-// discoveries ((task-local cost, pair), nondecreasing in cost) to `result`,
-// stamping global event times (start_time + cost * seconds_per_cost_unit)
-// and cutting `alpha`-sized incremental-output chunks.
-void AppendTaskEvents(
-    int task, double start_time, double task_cost,
-    double seconds_per_cost_unit, double alpha,
-    const std::vector<std::pair<double, PairKey>>& raw_events,
-    ErRunResult* result);
-
-// Fills ErRunResult::duplicates with the sorted unique pairs of `events`.
-void FinalizeDuplicates(ErRunResult* result);
-
-// Shared by the drivers: translates quarantined input records (indices into
-// `entities`) to entity ids and merges them into result->quarantined_ids,
-// keeping the list sorted and unique (multi-pass drivers like MRSN surface
-// the same poison record once per pass).
-void SurfaceQuarantinedIds(const std::vector<QuarantinedRecord>& quarantined,
-                           const std::vector<Entity>& entities,
-                           ErRunResult* result);
 
 }  // namespace progres
 

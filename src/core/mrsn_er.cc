@@ -62,12 +62,10 @@ MrsnEr::MrsnEr(const BlockingConfig& blocking, const MatchFunction& match,
       options_(std::move(options)) {}
 
 ErRunResult MrsnEr::Run(const Dataset& dataset) const {
-  const int map_tasks = options_.num_map_tasks > 0
-                            ? options_.num_map_tasks
-                            : options_.cluster.map_slots();
-  const int reduce_tasks = options_.num_reduce_tasks > 0
-                               ? options_.num_reduce_tasks
-                               : options_.cluster.reduce_slots();
+  const int map_tasks =
+      TaskCount(options_.num_map_tasks, options_.cluster.map_slots());
+  const int reduce_tasks =
+      TaskCount(options_.num_reduce_tasks, options_.cluster.reduce_slots());
   const int64_t n = dataset.size();
   const double spc = options_.cluster.seconds_per_cost_unit;
 
@@ -117,7 +115,7 @@ ErRunResult MrsnEr::Run(const Dataset& dataset) const {
         return static_cast<int>(key / kRankStride);
       });
       // Resolution-side user code: poison records crash its map attempts.
-      // SurfaceQuarantinedIds dedups across the per-family passes.
+      // The fold dedups their ids across the per-family passes.
       job.set_poison_faults(true);
 
       const int window = options_.window;
@@ -137,23 +135,16 @@ ErRunResult MrsnEr::Run(const Dataset& dataset) const {
         }
       };
 
-      // Retried attempts replay the pass's whole partition; the registry's
-      // task-state hook clears the task's sliding-window state and events
-      // first. Supervised runs snapshot the state at alpha boundaries
-      // instead so a deadline cut or quarantine can deliver a checkpointed
-      // prefix.
-      TaskStateRegistry<MrsnTaskState> states(reduce_tasks);
-      CheckpointStore checkpoints;
-      if (options_.cluster.control.active()) {
-        states.InstallCheckpointRecovery(&job, options_.alpha, &checkpoints);
-      } else {
-        states.Install(&job);
-      }
+      // Retried attempts replay the pass's whole partition; the task-state
+      // hook clears the task's sliding-window state and events first.
+      ResolvingJob<MrsnTaskState> tasks(reduce_tasks, dataset,
+                                        options_.cluster, options_.alpha);
+      tasks.Install(&job);
 
       const auto reduce_fn = [&](const int64_t& /*key*/,
                                  std::vector<SlideValue>* values,
                                  Job::ReduceContext* ctx) {
-        MrsnTaskState& state = states.at(ctx->task_id());
+        MrsnTaskState& state = tasks.at(ctx->task_id());
         for (const SlideValue& value : *values) {
           const Entity& e = dataset.entity(value.id);
           for (const SlideValue& previous : state.window) {
@@ -179,30 +170,13 @@ ErRunResult MrsnEr::Run(const Dataset& dataset) const {
         }
       };
 
-      Job::Result run = job.Run(dataset.entities(), map_fn, reduce_fn,
-                                options_.cluster, submit_time);
-      SurfaceQuarantinedIds(run.quarantined, dataset.entities(), &result);
-      result.completeness.MergeFrom(run.completeness);
-      if (!run.failed) {
-        AccumulateReduceTasks(states.states(), run.timing, run.reduce_stats,
-                              spc, options_.alpha, &result,
-                              options_.cluster.trace);
-      }
-      return StageResultFromJob(std::move(run), "mrsn pass");
+      return tasks.Fold(job.Run(dataset.entities(), map_fn, reduce_fn,
+                                options_.cluster, submit_time),
+                        "mrsn pass", /*emissions=*/false, &result);
     });
   }
 
-  const PipelineResult pipe_result = pipe.Run(/*submit_time=*/0.0);
-  result.counters = pipe_result.counters;
-  result.total_time = pipe_result.end;
-  result.wall_seconds = pipe_result.wall_seconds;
-  if (pipe_result.failed) {
-    result.failed = true;
-    result.error = pipe_result.error;
-  } else {
-    result.preprocessing_end = 0.0;
-  }
-  FinalizeDuplicates(&result);
+  CloseRun(pipe.Run(/*submit_time=*/0.0), &result);
   return result;
 }
 

@@ -34,18 +34,6 @@ struct ResolveValue {
   DominanceList list;
 };
 
-// Wire size of one shuffled (sequence value, entity + dominance list) pair
-// under the serde encoding — the `shuffle.bytes` counter.
-int64_t WireSize(int64_t sq, const ResolveValue& value) {
-  int64_t bytes = VarintSize(static_cast<uint64_t>(sq));
-  bytes += VarintSize(static_cast<uint64_t>(value.id));
-  bytes += VarintSize(value.list.values.size());
-  for (int32_t v : value.list.values) {
-    bytes += VarintSize(ZigZagEncode(v));
-  }
-  return bytes;
-}
-
 // Mutable per-reduce-task state beyond the shared accumulator: the
 // incremental bottom-up resolution's resolved-pair memory and the per-tree
 // emission buffers.
@@ -62,7 +50,7 @@ struct ResolveTaskState : ErTaskState {
 }  // namespace
 
 // Wire form of ResolveValue: the entity id, then the dominance list as a
-// counted sequence of ZigZag varints — the layout WireSize describes.
+// counted sequence of ZigZag varints.
 template <>
 struct KvCodec<ResolveValue> {
   static void Encode(const ResolveValue& value, std::string* out) {
@@ -236,12 +224,10 @@ ProgressiveEr::ProgressiveEr(const BlockingConfig& blocking,
 void ProgressiveEr::AddPreprocessStages(const Dataset& dataset,
                                         Pipeline* pipe,
                                         Preprocessed* pre) const {
-  const int map_tasks = options_.num_map_tasks > 0
-                            ? options_.num_map_tasks
-                            : options_.cluster.map_slots();
-  const int reduce_tasks = options_.num_reduce_tasks > 0
-                               ? options_.num_reduce_tasks
-                               : options_.cluster.reduce_slots();
+  const int map_tasks =
+      TaskCount(options_.num_map_tasks, options_.cluster.map_slots());
+  const int reduce_tasks =
+      TaskCount(options_.num_reduce_tasks, options_.cluster.reduce_slots());
 
   // The raw forests cross from the stats stage to the schedule stage; a
   // shared buffer keeps the stage closures self-contained.
@@ -325,9 +311,8 @@ ErRunResult ProgressiveEr::Run(const Dataset& dataset) const {
       stage.end_time = submit_time;
       return stage;
     }
-    const int map_tasks = options_.num_map_tasks > 0
-                              ? options_.num_map_tasks
-                              : options_.cluster.map_slots();
+    const int map_tasks =
+        TaskCount(options_.num_map_tasks, options_.cluster.map_slots());
     const int reduce_tasks = schedule.num_reduce_tasks;
     const int num_families = blocking_.num_families();
     const bool redundancy = options_.redundancy_elimination;
@@ -444,39 +429,27 @@ ErRunResult ProgressiveEr::Run(const Dataset& dataset) const {
             value.list =
                 BuildDominanceList(e, f, node, blocking_, forests, schedule);
           }
-          for (size_t k = 0; k < sqs.size(); ++k) {
+          for (const int64_t sq : sqs) {
             ctx->clock().Charge(kMapEmitCost);
-            ctx->counters().Increment("map.emitted_pairs");
-            ctx->counters().Increment("shuffle.bytes", WireSize(sqs[k], value));
-            ctx->Emit(sqs[k], value);
+            ctx->Emit(sq, value);
           }
         }
       }
     };
 
     // A failed reduce attempt leaves partial events, resolved-pair sets and
-    // buffered tree groups behind. The registry's task-state hook resets
-    // the state so the retry replays the task from scratch; with
-    // checkpoint_recovery the job instead snapshots the state at each
-    // alpha-emission boundary and the retry resumes from the latest
-    // snapshot.
-    TaskStateRegistry<ResolveTaskState> states(reduce_tasks);
-    CheckpointStore checkpoints;
+    // buffered tree groups behind. The task-state hook resets the state so
+    // the retry replays the task from scratch; with checkpoint_recovery
+    // (implied by a checkpoint_dir) the retry resumes from the latest
+    // alpha-boundary snapshot instead.
+    ResolvingJob<ResolveTaskState> tasks(reduce_tasks, dataset,
+                                         options_.cluster, options_.alpha);
     const bool persist = !options_.checkpoint_dir.empty();
-    // Job supervision needs the snapshots too: a deadline cut or
-    // quarantine restores the latest alpha-boundary state.
-    if (options_.checkpoint_recovery || persist ||
-        options_.cluster.control.active()) {
-      states.InstallCheckpointRecovery(&job, options_.alpha, &checkpoints,
-                                       EncodeResolveTaskState,
-                                       DecodeResolveTaskState);
-      if (persist) {
-        checkpoints.ConfigurePersistence(options_.checkpoint_dir,
-                                         "resolution", options_.resume,
-                                         options_.crash_after_checkpoints);
-      }
-    } else {
-      states.Install(&job);
+    tasks.Install(&job, options_.checkpoint_recovery || persist);
+    if (persist) {
+      tasks.Persist(options_.checkpoint_dir, "resolution", options_.resume,
+                    options_.crash_after_checkpoints, EncodeResolveTaskState,
+                    DecodeResolveTaskState);
     }
 
     // Resolves one scheduled unit given its block's members (and their
@@ -495,7 +468,7 @@ ErRunResult ProgressiveEr::Run(const Dataset& dataset) const {
           const BlockRef& ref = unit.ref;
           const AnnotatedBlock& block =
               forests[static_cast<size_t>(ref.family)].block(ref.node);
-          ResolveTaskState& state = states.at(ctx->task_id());
+          ResolveTaskState& state = tasks.at(ctx->task_id());
 
           ResolveRequest request;
           request.block = &members;
@@ -536,7 +509,7 @@ ErRunResult ProgressiveEr::Run(const Dataset& dataset) const {
     // `last` (their trees are guaranteed buffered).
     const auto drain_pending = [&, this](size_t last,
                                          Job::ReduceContext* ctx) {
-      ResolveTaskState& state = states.at(ctx->task_id());
+      ResolveTaskState& state = tasks.at(ctx->task_id());
       const auto& units =
           schedule.task_units[static_cast<size_t>(ctx->task_id())];
       std::string path;  // a member's path, reused across members and units
@@ -572,7 +545,7 @@ ErRunResult ProgressiveEr::Run(const Dataset& dataset) const {
                                Job::ReduceContext* ctx) {
       const MatchTask& unit = schedule.UnitOf(sq);
       if (per_tree) {
-        states.at(ctx->task_id()).tree_values[tree_dom_of(unit.ref)] =
+        tasks.at(ctx->task_id()).tree_values[tree_dom_of(unit.ref)] =
             std::move(*values);
         drain_pending(static_cast<size_t>(sq % schedule.range_per_task), ctx);
         return;
@@ -595,38 +568,18 @@ ErRunResult ProgressiveEr::Run(const Dataset& dataset) const {
       });
     }
 
-    Job::Result run = job.Run(dataset.entities(), map_fn, reduce_fn,
-                              options_.cluster, submit_time);
-    SurfaceQuarantinedIds(run.quarantined, dataset.entities(), &result);
-    result.completeness.MergeFrom(run.completeness);
-    if (!run.failed) {
-      AccumulateReduceTasks(states.states(), run.timing, run.reduce_stats,
-                            options_.cluster.seconds_per_cost_unit,
-                            options_.alpha, &result, options_.cluster.trace);
-    }
-    return StageResultFromJob(std::move(run), "resolution job");
+    return tasks.Fold(job.Run(dataset.entities(), map_fn, reduce_fn,
+                              options_.cluster, submit_time),
+                      "resolution job", /*emissions=*/true, &result);
   });
 
   const PipelineResult pipe_result = pipe.Run(/*submit_time=*/0.0);
-
-  // ErRunResult::counters reports the resolution job only (the statistics
-  // job's counters are internal to preprocessing), so read the resolution
-  // stage's report rather than the pipeline-wide merge.
+  // Preprocessing ends where the resolution job starts; the result's
+  // counters are that job's alone (its fold merged them).
   const StageReport* resolution = pipe_result.Find("resolution job");
-  if (resolution != nullptr) {
-    result.counters = resolution->result.counters;
-    result.preprocessing_end = resolution->start;
-  } else {
-    result.preprocessing_end = pipe_result.end;
-  }
-  result.total_time = pipe_result.end;
-  result.wall_seconds = pipe_result.wall_seconds;
-  if (pipe_result.failed) {
-    result.failed = true;
-    result.error = pipe_result.error;
-    return result;
-  }
-  FinalizeDuplicates(&result);
+  result.preprocessing_end =
+      resolution != nullptr ? resolution->start : pipe_result.end;
+  CloseRun(pipe_result, &result);
   return result;
 }
 

@@ -8,7 +8,6 @@
 
 #include "core/er_driver.h"
 #include "mapreduce/job.h"
-#include "mapreduce/pipeline.h"
 #include "mapreduce/serde.h"
 
 namespace progres {
@@ -406,71 +405,63 @@ StatsJobOutput RunStatisticsJob(const Dataset& dataset,
   // task-state hook drops them so the retry starts clean.
   TaskStateRegistry<StatsTaskState> states(num_reduce_tasks);
 
-  // This inner pipeline deliberately does not register with the trace
-  // recorder: when the progressive driver calls in here its own pipeline
-  // already opened a "statistics job" process, so the job's spans land
-  // there via the recorder's current pid (a standalone RunStatisticsJob
-  // records under the default pid 0).
-  Pipeline pipe;
-  pipe.AddStage("statistics job", [&](double stage_submit) {
-    using Job = MapReduceJob<Entity, std::string, StatsValue>;
-    Job job(num_map_tasks, num_reduce_tasks);
-    job.set_map_cost_per_record(0.1);
-    states.Install(&job);
-    // A finished task's tables are done: free them before the next task
-    // grows its own.
-    job.set_reduce_cleanup([&states](Job::ReduceContext* ctx) {
-      states.at(ctx->task_id()).aggregator = RootBlockAggregator();
-    });
-
-    const auto map_fn = [&config](const Entity& e, Job::MapContext* ctx) {
-      // Each (family, level) key is built once, into buffers reused across
-      // entities (Emit encodes the pair on the spot): family f's tuple is
-      // the dominating families' root keys, grown by one family per step.
-      thread_local StatsValue value;
-      thread_local std::string key;
-      thread_local std::string tuple;
-      tuple.clear();
-      for (int f = 0; f < config.num_families(); ++f) {
-        const int levels = config.family(f).levels();
-        value.level_keys.resize(static_cast<size_t>(levels));
-        for (int level = 1; level <= levels; ++level) {
-          std::string& level_key =
-              value.level_keys[static_cast<size_t>(level - 1)];
-          level_key.clear();
-          config.AppendKey(f, level, e, &level_key);
-        }
-        value.tuple = tuple;
-        if (f > 0) tuple.push_back(kTupleSeparator);
-        tuple += value.level_keys.front();
-        key.clear();
-        key.push_back(static_cast<char>('0' + f));
-        key.push_back(kPathSeparator);
-        key += value.level_keys.front();
-        ctx->clock().Charge(kMapEmitCost);
-        ctx->Emit(key, value);
-      }
-    };
-
-    const auto reduce_fn = [&states](const std::string& key,
-                                     std::vector<StatsValue>* values,
-                                     Job::ReduceContext* ctx) {
-      StatsTaskState& state = states.at(ctx->task_id());
-      state.aggregator.Aggregate(key.front() - '0', *values, &ctx->clock(),
-                                 &state.records);
-    };
-
-    Job::Result run = job.Run(dataset.entities(), map_fn, reduce_fn,
-                              stats_cluster, stage_submit);
-    output.timing = run.timing;
-    return StageResultFromJob(std::move(run), "statistics job");
+  using Job = MapReduceJob<Entity, std::string, StatsValue>;
+  Job job(num_map_tasks, num_reduce_tasks);
+  job.set_map_cost_per_record(0.1);
+  states.Install(&job);
+  // A finished task's tables are done: free them before the next task
+  // grows its own.
+  job.set_reduce_cleanup([&states](Job::ReduceContext* ctx) {
+    states.at(ctx->task_id()).aggregator = RootBlockAggregator();
   });
 
-  const PipelineResult pipe_result = pipe.Run(submit_time);
-  output.counters = pipe_result.counters;
-  if (pipe_result.failed) {
+  const auto map_fn = [&config](const Entity& e, Job::MapContext* ctx) {
+    // Each (family, level) key is built once, into buffers reused across
+    // entities (Emit encodes the pair on the spot): family f's tuple is
+    // the dominating families' root keys, grown by one family per step.
+    thread_local StatsValue value;
+    thread_local std::string key;
+    thread_local std::string tuple;
+    tuple.clear();
+    for (int f = 0; f < config.num_families(); ++f) {
+      const int levels = config.family(f).levels();
+      value.level_keys.resize(static_cast<size_t>(levels));
+      for (int level = 1; level <= levels; ++level) {
+        std::string& level_key =
+            value.level_keys[static_cast<size_t>(level - 1)];
+        level_key.clear();
+        config.AppendKey(f, level, e, &level_key);
+      }
+      value.tuple = tuple;
+      if (f > 0) tuple.push_back(kTupleSeparator);
+      tuple += value.level_keys.front();
+      key.clear();
+      key.push_back(static_cast<char>('0' + f));
+      key.push_back(kPathSeparator);
+      key += value.level_keys.front();
+      ctx->clock().Charge(kMapEmitCost);
+      ctx->Emit(key, value);
+    }
+  };
+
+  const auto reduce_fn = [&states](const std::string& key,
+                                   std::vector<StatsValue>* values,
+                                   Job::ReduceContext* ctx) {
+    StatsTaskState& state = states.at(ctx->task_id());
+    state.aggregator.Aggregate(key.front() - '0', *values, &ctx->clock(),
+                               &state.records);
+  };
+
+  // The job records no trace process of its own: under the progressive
+  // driver its spans land in the pipeline's "statistics job" process via
+  // the recorder's current pid (standalone, under the default pid 0).
+  Job::Result run = job.Run(dataset.entities(), map_fn, reduce_fn,
+                            stats_cluster, submit_time);
+  output.timing = std::move(run.timing);
+  output.counters = std::move(run.counters);
+  if (run.failed) {
     output.failed = true;
-    output.error = pipe_result.error;
+    output.error = "statistics job: " + run.error;
     return output;
   }
 

@@ -216,7 +216,8 @@ void CheckpointStore::PersistSave(int t, const TaskCheckpoint& checkpoint) {
   AppendU64(&frame, static_cast<uint64_t>(checkpoint.groups));
   AppendU64(&frame, static_cast<uint64_t>(checkpoint.records_in));
   AppendU64(&frame, static_cast<uint64_t>(checkpoint.pairs_out));
-  AppendU64(&frame, static_cast<uint64_t>(checkpoint.outputs));
+  // The frame's pair-count slot: a second copy of pairs_out.
+  AppendU64(&frame, static_cast<uint64_t>(checkpoint.pairs_out));
   AppendU64(&frame, checkpoint.counters.values().size());
   for (const auto& [name, value] : checkpoint.counters.values()) {
     AppendBlob(&frame, name);
@@ -288,7 +289,7 @@ bool CheckpointStore::LoadPersisted(int t, TaskCheckpoint* checkpoint) {
   checkpoint->groups = static_cast<int64_t>(reader.U64());
   checkpoint->records_in = static_cast<int64_t>(reader.U64());
   checkpoint->pairs_out = static_cast<int64_t>(reader.U64());
-  checkpoint->outputs = static_cast<size_t>(reader.U64());
+  reader.U64();  // the pair-count slot, a copy of pairs_out
   const uint64_t num_counters = reader.U64();
   for (uint64_t i = 0; reader.ok && i < num_counters; ++i) {
     const std::string_view name = reader.Blob();

@@ -45,7 +45,6 @@ struct TaskCheckpoint {
   int64_t groups = 0;       // reduce groups fully processed
   int64_t records_in = 0;   // input values consumed
   int64_t pairs_out = 0;    // pairs emitted
-  size_t outputs = 0;       // pairs in the task's outputs
   size_t output_bytes = 0;  // length of the task's encoded outputs
   Counters counters;        // user counters at the boundary
   std::shared_ptr<const void> driver_state;  // driver save-hook snapshot

@@ -548,12 +548,14 @@ struct JobRuntime::RunState {
     CountIfPositive(&result.counters, "mr.spill.records", spill_records);
     CountIfPositive(&result.counters, "mr.spill.bytes", spill_bytes);
 
-    // ---- Checksummed shuffle: corruption detection & recovery ----
-    // Every (map, reduce) partition ships with its CRC32; the consuming
-    // reduce task recomputes it on fetch. A corrupt fetch is re-fetched
-    // (free — the shuffle is in-memory), and after max_fetch_retries
-    // consecutive corrupt copies the producing map attempt is re-run,
-    // stalling the reduce task for the map's winning run time.
+    // ---- Shuffle corruption: detection & recovery ----
+    // The fault plan decides which (map, reduce) fetches arrive corrupt,
+    // and the model takes the consuming reduce task's checksum check to
+    // catch every one; the delivered bytes themselves are never altered,
+    // so no checksum is computed. A corrupt fetch is re-fetched (free —
+    // the shuffle is in-memory), and after max_fetch_retries consecutive
+    // corrupt copies the producing map attempt is re-run, stalling the
+    // reduce task for the map's winning run time.
     if (plan.enabled() && cluster.fault.shuffle_corrupt_prob > 0.0) {
       int64_t checksum_errors = 0;
       int64_t map_reruns = 0;
@@ -562,14 +564,6 @@ struct JobRuntime::RunState {
         for (int m = 0; m < job.num_map_tasks_; ++m) {
           const int corrupt = plan.CorruptFetches(m, r, max_fetch_retries + 1);
           if (corrupt == 0) continue;
-          // Detection itself: the shipped checksum against one recomputed
-          // from the delivered partition. The corruption model flips the
-          // delivered copy's checksum, so a mismatch is certain — but the
-          // comparison below is the real gate, not the plan.
-          const uint32_t shipped =
-              job.shuffle_.PartitionChecksum(map_task(m).ctx.output, r);
-          const uint32_t delivered = shipped ^ 0xffffffffu;
-          if (delivered == shipped) continue;  // fetch verified clean
           checksum_errors += corrupt;
           for (int e = 0; e < corrupt; ++e) corrupt_events.push_back({r, m});
           if (corrupt > max_fetch_retries) {
@@ -1343,7 +1337,6 @@ void JobRuntime::MaybeCheckpoint(const ReduceAttempt& attempt,
   checkpoint.groups = groups_done;
   checkpoint.records_in = ctx->stats.records_in;
   checkpoint.pairs_out = ctx->stats.pairs_out;
-  checkpoint.outputs = static_cast<size_t>(ctx->stats.pairs_out);
   checkpoint.output_bytes = ctx->outputs.size();
   checkpoint.counters = ctx->counters;
   // A restarted process cannot reuse this context's live outputs, so a

@@ -55,15 +55,6 @@ bool GetString(std::string_view in, size_t* offset, std::string* value) {
   return true;
 }
 
-int VarintSize(uint64_t value) {
-  int size = 1;
-  while (value >= 0x80) {
-    value >>= 7;
-    ++size;
-  }
-  return size;
-}
-
 namespace {
 
 // Slicing-by-8 tables for the reflected CRC-32 polynomial 0xEDB88320:

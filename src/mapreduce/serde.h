@@ -45,14 +45,11 @@ bool GetString(std::string_view in, size_t* offset, std::string* value);
 bool GetStringView(std::string_view in, size_t* offset,
                    std::string_view* value);
 
-// Number of bytes PutVarint64 would append.
-int VarintSize(uint64_t value);
-
 // CRC-32 (IEEE, reflected polynomial 0xEDB88320 — the zlib/Hadoop checksum)
 // of `data`, continuing from `crc` so multi-buffer streams can chain calls.
-// Crc32("123456789") == 0xCBF43926. The shuffle checksums each map-output
-// partition with this before the "wire" transfer. Computed slicing-by-8
-// (eight table lookups per eight input bytes, bytewise for the tail).
+// Crc32("123456789") == 0xCBF43926. Spill runs and persisted checkpoint
+// frames carry it. Computed slicing-by-8 (eight table lookups per eight
+// input bytes, bytewise for the tail).
 uint32_t Crc32(std::string_view data, uint32_t crc = 0);
 
 // FNV-1a over `data`, continuing from `hash` for multi-buffer streams. The
@@ -83,10 +80,8 @@ inline uint64_t Fnv1a64(std::string_view data,
 template <typename T, typename Enable = void>
 struct KvCodec;
 
-// Integers travel as varints of their two's-complement bit pattern — the
-// same `VarintSize(static_cast<uint64_t>(v))` form the drivers' own
-// "shuffle.bytes" counters use. Callers with many small negatives should
-// ZigZag inside their own codec.
+// Integers travel as varints of their two's-complement bit pattern.
+// Callers with many small negatives should ZigZag inside their own codec.
 template <typename T>
 struct KvCodec<
     T, std::enable_if_t<std::is_integral_v<T> && !std::is_same_v<T, bool>>> {

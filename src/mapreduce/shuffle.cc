@@ -29,7 +29,6 @@ void Shuffle::MapOutput::Reset(const Shuffle& shuffle, int task) {
   file_.reset();
   buckets_.clear();
   buckets_.resize(static_cast<size_t>(shuffle.num_partitions_));
-  spill_crc_.assign(static_cast<size_t>(shuffle.num_partitions_), 0);
   mem_bytes_ = 0;
   spilled_volume_ = {};
   spill_error_.clear();
@@ -70,12 +69,6 @@ void Shuffle::MapOutput::Spill() {
   }
   SpillRun run;
   if (!WriteRunWithFaults(bytes, segments, &run)) return;
-  for (size_t r = 0; r < partitions; ++r) {
-    spill_crc_[r] = Crc32(std::string_view(bytes).substr(
-                              static_cast<size_t>(segments[r].offset),
-                              static_cast<size_t>(segments[r].bytes)),
-                          spill_crc_[r]);
-  }
   spilled_volume_.records += run.records;
   spilled_volume_.bytes += run.bytes;
   runs_.push_back(std::move(run));
@@ -201,14 +194,6 @@ int64_t Shuffle::PartitionRecords(const std::vector<MapOutput*>& maps,
     }
   }
   return records;
-}
-
-uint32_t Shuffle::PartitionChecksum(const MapOutput& out, int r) const {
-  uint32_t crc = out.spill_crc_[static_cast<size_t>(r)];
-  for (const std::string& block : out.buckets_[static_cast<size_t>(r)].blocks) {
-    crc = Crc32(block, crc);
-  }
-  return crc;
 }
 
 // Indexes `bucket`'s records in emission order, stable-sorts the index by

@@ -200,9 +200,6 @@ class Shuffle {
     // The file the next run appends to; null before the first write and
     // after a torn write or a fail-over.
     std::shared_ptr<SpillFile> file_;
-    // Per-partition CRC32 chained over the spilled segments, in run order;
-    // PartitionChecksum continues it over the in-memory blocks.
-    std::vector<uint32_t> spill_crc_;
     int64_t mem_bytes_ = 0;
     Volume spilled_volume_;
     std::string spill_error_;
@@ -238,15 +235,6 @@ class Shuffle {
   // spilled segments', read without decoding — what an intact merge of the
   // partition yields.
   static int64_t PartitionRecords(const std::vector<MapOutput*>& maps, int r);
-
-  // CRC32 of partition `r` of a finished map output — the checksum shipped
-  // alongside the partition so the consuming reduce task can verify its
-  // fetch. The checksum covers the partition's actual byte stream: the
-  // spilled segments (chained in write order) and then the buffered blocks
-  // — exactly what a length-prefixed transfer would put on the wire,
-  // detecting flipped payload bytes the same way Hadoop's IFile checksum
-  // does.
-  uint32_t PartitionChecksum(const MapOutput& out, int r) const;
 
   // Reduce-side merge of partition `r` from every map output. When part of
   // the partition was spilled, ForEachGroup streams its records in key

@@ -1,33 +1,21 @@
 #ifndef PROGRES_MECHANISM_PSNM_H_
 #define PROGRES_MECHANISM_PSNM_H_
 
-#include "mechanism/mechanism.h"
+#include "mechanism/sorted_neighbor.h"
 
 namespace progres {
 
 // The Progressive Sorted Neighborhood Method of "Progressive duplicate
-// detection" [6], adapted to resolve one block (the paper uses it for the
-// OL-Books experiments). Like SN-with-hint it grows the rank-distance window
-// progressively, but it processes the sorted block in fixed-size partitions:
-// for each distance d, partitions are swept one after another — the access
-// pattern PSNM uses so that each partition fits in memory. Within a block
-// this changes the discovery order (partition-major within a distance) but
-// covers exactly the same pair set as SN.
-class PsnmMechanism : public ProgressiveMechanism {
+// detection" [6], the paper's mechanism for the OL-Books experiments. PSNM
+// sweeps each rank distance d partition by partition so that each
+// partition fits in memory; within one in-memory block that sweep visits
+// the left ranks 0..n-d-1 in order, which is exactly SN's enumeration. So
+// PSNM is SN under the paper's name: same pairs, same order, same cost.
+class PsnmMechanism : public SortedNeighborMechanism {
  public:
-  explicit PsnmMechanism(MechanismCosts costs = {}, int partition_size = 512)
-      : costs_(costs), partition_size_(partition_size > 1 ? partition_size : 2) {}
+  using SortedNeighborMechanism::SortedNeighborMechanism;
 
   std::string name() const override { return "PSNM"; }
-
-  ResolveOutcome Resolve(const ResolveRequest& request) const override;
-
-  int partition_size() const { return partition_size_; }
-  const MechanismCosts& costs() const { return costs_; }
-
- private:
-  MechanismCosts costs_;
-  int partition_size_;
 };
 
 }  // namespace progres

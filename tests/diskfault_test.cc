@@ -570,7 +570,6 @@ TaskCheckpoint SampleCheckpoint() {
   checkpoint.groups = 7;
   checkpoint.records_in = 31;
   checkpoint.pairs_out = 12;
-  checkpoint.outputs = 3;
   checkpoint.counters.Increment("reduce.groups", 7);
   checkpoint.encoded_outputs = std::string("opaque\0blob", 11);
   return checkpoint;
@@ -598,7 +597,6 @@ TEST(CheckpointPersistenceTest, SnapshotsRoundTripAcrossStores) {
   EXPECT_EQ(loaded->groups, expected.groups);
   EXPECT_EQ(loaded->records_in, expected.records_in);
   EXPECT_EQ(loaded->pairs_out, expected.pairs_out);
-  EXPECT_EQ(loaded->outputs, expected.outputs);
   EXPECT_EQ(loaded->counters.Get("reduce.groups"), 7);
   EXPECT_EQ(loaded->encoded_outputs, expected.encoded_outputs);
   EXPECT_EQ(reader.corrupt_checkpoints(), 0);

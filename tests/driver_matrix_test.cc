@@ -236,11 +236,10 @@ TEST(GoldenBudgetTest, MatchesFrozenFixture) {
       << "budgeted runs diverged from tests/golden/progressive_budget.golden";
 }
 
-// The drivers price every emitted pair into their own "shuffle.bytes"
-// counter with a formula that shares no code with the KvCodec encoding;
-// the runtime's "mr.shuffle.bytes" counts the encoded bytes the shuffle
-// actually stored. The two must agree, in memory and spilled alike. (MRSN
-// keeps no such counter.)
+// The Basic and progressive drivers report their map's emissions as
+// "map.emitted_pairs" and "shuffle.bytes": the pairs and encoded bytes the
+// runtime counted crossing the shuffle ("mr.shuffle.*") in a job that
+// succeeded, in memory and spilled alike. (MRSN keeps no such counters.)
 TEST(ShuffleBytesTest, DriverCounterMatchesEncodedBytes) {
   const testing_util::GoldenWorkload w = testing_util::MakeGoldenWorkload();
   for (const bool spill : {false, true}) {
@@ -258,6 +257,8 @@ TEST(ShuffleBytesTest, DriverCounterMatchesEncodedBytes) {
       EXPECT_GT(result.counters.Get("shuffle.bytes"), 0);
       EXPECT_EQ(result.counters.Get("mr.shuffle.bytes"),
                 result.counters.Get("shuffle.bytes"));
+      EXPECT_EQ(result.counters.Get("mr.shuffle.records"),
+                result.counters.Get("map.emitted_pairs"));
     }
   }
 }
@@ -375,6 +376,61 @@ TEST(DriverOptionsTest, NonPositiveAlphaFailsTheRun) {
       EXPECT_NE(result.error.find("alpha"), std::string::npos)
           << result.error;
     }
+  }
+}
+
+// A run whose last job fails reports the failure and nothing else: no
+// events, duplicates or chunks and zero comparison tallies, even when an
+// earlier job of the run succeeded (MRSN's first pass, the progressive
+// statistics job, which runs unsupervised). Each run misses a simulated
+// deadline that falls inside its last job.
+TEST(DriverOptionsTest, FailedRunReportsNoResults) {
+  const testing_util::GoldenWorkload w = testing_util::MakeGoldenWorkload();
+  ClusterConfig cluster = testing_util::GoldenCluster();
+  testing_util::ApplyTestOverlays(&cluster);
+  // Unsupervised runs locate the last jobs. A one-family MRSN run is the
+  // full run's first pass.
+  testing_util::GoldenWorkload first_family = w;
+  first_family.blocking = BlockingConfig({w.blocking.family(0)});
+  const ErRunResult first_pass =
+      testing_util::RunGoldenEr(first_family, "mrsn", cluster);
+  const ErRunResult basic = testing_util::RunGoldenEr(w, "basic", cluster);
+  const ErRunResult progressive =
+      testing_util::RunGoldenEr(w, "progressive_perblock", cluster);
+  for (const ErRunResult* run : {&first_pass, &basic, &progressive}) {
+    ASSERT_FALSE(run->failed) << run->error;
+    ASSERT_FALSE(run->events.empty());
+  }
+  const struct {
+    const char* driver;
+    const char* failing_job;
+    double deadline;
+  } cases[] = {
+      {"mrsn", "mrsn pass: ", first_pass.total_time * (1.0 + 1e-6)},
+      {"basic", "basic job: ", basic.total_time / 2.0},
+      {"progressive_perblock", "resolution job: ",
+       (progressive.preprocessing_end + progressive.total_time) / 2.0},
+  };
+  for (const auto& [driver, failing_job, deadline] : cases) {
+    SCOPED_TRACE(driver);
+    ClusterConfig supervised = cluster;
+    supervised.control.deadline_seconds = deadline;
+    const ErRunResult result =
+        testing_util::RunGoldenEr(w, driver, supervised);
+    EXPECT_TRUE(result.failed);
+    EXPECT_EQ(result.error.rfind(std::string(failing_job) +
+                                     "job deadline exceeded",
+                                 0),
+              0u)
+        << result.error;
+    EXPECT_GT(result.total_time, deadline);
+    EXPECT_TRUE(result.events.empty());
+    EXPECT_TRUE(result.duplicates.empty());
+    EXPECT_TRUE(result.chunks.empty());
+    EXPECT_EQ(result.comparisons, 0);
+    EXPECT_EQ(result.duplicate_count, 0);
+    EXPECT_EQ(result.distinct_count, 0);
+    EXPECT_EQ(result.skipped_count, 0);
   }
 }
 

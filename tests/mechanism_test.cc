@@ -200,7 +200,7 @@ TEST(PsnmTest, CoversSamePairSetAsSn) {
   const auto entities = MakeBlock(values);
   const MatchFunction match = ExactMatch();
   const SortedNeighborMechanism sn;
-  const PsnmMechanism psnm({}, /*partition_size=*/64);
+  const PsnmMechanism psnm;
   const RunResult a = RunMechanism(sn, entities, match, {.window = 10});
   const RunResult b = RunMechanism(psnm, entities, match, {.window = 10});
   EXPECT_EQ(a.outcome.duplicates + a.outcome.distinct,
@@ -211,11 +211,11 @@ TEST(PsnmTest, CoversSamePairSetAsSn) {
 }
 
 TEST(PsnmTest, ResolvedSetSkipsAndRecords) {
-  // Partition size 3 over 8 entities: the sweep crosses partition borders,
-  // and the window leaves some pairs unenumerated.
+  // 8 entities under a window of 4: the window leaves some pairs
+  // unenumerated.
   const auto entities = MakeBlock({"a", "b", "a", "c", "b", "d", "a", "e"});
   const MatchFunction match = ExactMatch();
-  const PsnmMechanism psnm({}, /*partition_size=*/3);
+  const PsnmMechanism psnm;
   PairSet resolved;
   const RunResult first =
       RunMechanism(psnm, entities, match, {.window = 4}, &resolved);
@@ -232,18 +232,6 @@ TEST(PsnmTest, ResolvedSetSkipsAndRecords) {
   EXPECT_TRUE(second.found.empty());
   EXPECT_EQ(static_cast<int64_t>(resolved.size()), compared);
   EXPECT_LT(second.cost, first.cost);
-}
-
-TEST(PsnmTest, PartitionMajorOrderWithinDistance) {
-  // 4 entities, partition size 2: at distance 1, partition {0,1} is swept
-  // before {2,3}; verify via early termination after 2 distinct pairs.
-  const auto entities = MakeBlock({"a", "b", "c", "d"});
-  const MatchFunction match = ExactMatch();
-  const PsnmMechanism psnm({}, /*partition_size=*/2);
-  const RunResult run = RunMechanism(
-      psnm, entities, match, {.window = 4, .termination_distinct = 1});
-  EXPECT_EQ(run.outcome.distinct, 2);
-  EXPECT_TRUE(run.outcome.stopped_early);
 }
 
 // ------------------------------------------------------------ Full

@@ -320,7 +320,7 @@ TEST(MechanismPartitionTest, UnitsEnumerateExactlyTheWholeBlockPairs) {
   Rng rng(7);
   const MatchFunction match({{0, AttributeSimilarity::kExact, 1.0, 0}}, 0.5);
   const SortedNeighborMechanism sn;
-  const PsnmMechanism psnm({}, /*partition_size=*/32);
+  const PsnmMechanism psnm;
   const std::vector<const ProgressiveMechanism*> mechanisms = {&sn, &psnm};
 
   for (const int64_t n : {2, 17, 64, 301}) {

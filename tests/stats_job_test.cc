@@ -7,7 +7,6 @@
 
 #include "core/stats_job.h"
 #include "datagen/generators.h"
-#include "mapreduce/serde.h"
 #include "test_overlays.h"
 
 namespace progres {
@@ -213,6 +212,13 @@ TEST(StatsJobTest, CrossLevelPathCollisionMatchesReference) {
   }
 }
 
+// Bytes a varint of `value` takes: one per started group of 7 bits.
+int64_t VarintBytes(uint64_t value) {
+  int64_t bytes = 1;
+  for (; value >= 0x80; value >>= 7) ++bytes;
+  return bytes;
+}
+
 // Bytes the statistics job's shuffle carries, written out from its wire
 // format: one pair per (entity, family) whose key is the family digit, the
 // path separator and the level-1 key, and whose value is the count-prefixed
@@ -221,14 +227,14 @@ TEST(StatsJobTest, CrossLevelPathCollisionMatchesReference) {
 int64_t StatsShuffleBytes(const Dataset& dataset,
                           const BlockingConfig& config) {
   const auto string_bytes = [](size_t size) {
-    return static_cast<int64_t>(VarintSize(size) + size);
+    return VarintBytes(size) + static_cast<int64_t>(size);
   };
   int64_t bytes = 0;
   for (const Entity& e : dataset.entities()) {
     for (int f = 0; f < config.num_families(); ++f) {
       const int levels = config.family(f).levels();
       bytes += string_bytes(2 + config.Key(f, 1, e).size());
-      bytes += VarintSize(static_cast<uint64_t>(levels));
+      bytes += VarintBytes(static_cast<uint64_t>(levels));
       for (int level = 1; level <= levels; ++level) {
         bytes += string_bytes(config.Key(f, level, e).size());
       }
