@@ -14,8 +14,6 @@ uint64_t SplitMix64(uint64_t* x) {
   return z ^ (z >> 31);
 }
 
-uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 }  // namespace
 
 Rng::Rng(uint64_t seed) {
@@ -25,59 +23,27 @@ Rng::Rng(uint64_t seed) {
   for (uint64_t& w : state_) w = SplitMix64(&s);
 }
 
-uint64_t Rng::NextU64() {
-  const uint64_t result = Rotl(state_[1] * 5, 7) * 9;
-  const uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = Rotl(state_[3], 45);
-  return result;
-}
-
-uint64_t Rng::UniformU64(uint64_t bound) {
-  // Rejection sampling to avoid modulo bias.
-  const uint64_t threshold = -bound % bound;
-  while (true) {
-    const uint64_t r = NextU64();
-    if (r >= threshold) return r % bound;
-  }
-}
-
 int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
   const uint64_t span = static_cast<uint64_t>(hi - lo) + 1;
   return lo + static_cast<int64_t>(UniformU64(span));
 }
 
-double Rng::UniformDouble() {
-  // 53 random bits scaled into [0, 1).
-  return static_cast<double>(NextU64() >> 11) * 0x1.0p-53;
-}
-
-bool Rng::Bernoulli(double p) {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return UniformDouble() < p;
-}
-
-int64_t Rng::Zipf(int64_t n, double s) {
-  if (n <= 1) return 0;
-  if (zipf_n_ != n || zipf_s_ != s) {
-    zipf_cdf_.assign(static_cast<size_t>(n), 0.0);
-    double sum = 0.0;
-    for (int64_t i = 0; i < n; ++i) {
-      sum += 1.0 / std::pow(static_cast<double>(i + 1), s);
-      zipf_cdf_[static_cast<size_t>(i)] = sum;
-    }
-    for (double& v : zipf_cdf_) v /= sum;
-    zipf_n_ = n;
-    zipf_s_ = s;
+ZipfTable::ZipfTable(int64_t n, double s) {
+  if (n <= 1) return;
+  cdf_.assign(static_cast<size_t>(n), 0.0);
+  double sum = 0.0;
+  for (int64_t i = 0; i < n; ++i) {
+    sum += 1.0 / std::pow(static_cast<double>(i + 1), s);
+    cdf_[static_cast<size_t>(i)] = sum;
   }
-  const double u = UniformDouble();
-  const auto it = std::lower_bound(zipf_cdf_.begin(), zipf_cdf_.end(), u);
-  return static_cast<int64_t>(it - zipf_cdf_.begin());
+  for (double& v : cdf_) v /= sum;
+}
+
+int64_t ZipfTable::Sample(Rng* rng) const {
+  if (cdf_.empty()) return 0;
+  const double u = rng->UniformDouble();
+  const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
+  return static_cast<int64_t>(it - cdf_.begin());
 }
 
 }  // namespace progres

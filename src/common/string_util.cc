@@ -1,5 +1,7 @@
 #include "common/string_util.h"
 
+#include <charconv>
+
 namespace progres {
 
 std::string_view Prefix(std::string_view s, size_t n) {
@@ -40,6 +42,12 @@ std::string Join(const std::vector<std::string>& parts, char delim) {
 
 bool StartsWith(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
+}
+
+bool ParseInt32(std::string_view s, int32_t* out) {
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, *out);
+  return ec == std::errc() && ptr == end;
 }
 
 }  // namespace progres

@@ -1,6 +1,7 @@
 #ifndef PROGRES_COMMON_STRING_UTIL_H_
 #define PROGRES_COMMON_STRING_UTIL_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -24,6 +25,11 @@ std::string Join(const std::vector<std::string>& parts, char delim);
 
 // Returns true if `s` starts with `prefix`.
 bool StartsWith(std::string_view s, std::string_view prefix);
+
+// Parses all of `s` as a decimal int32 with an optional leading '-'.
+// Returns false, leaving `*out` unspecified, when `s` is empty, holds any
+// other byte or does not fit.
+bool ParseInt32(std::string_view s, int32_t* out);
 
 }  // namespace progres
 

@@ -30,13 +30,14 @@ std::vector<std::string> BuildVocabulary(int size, Rng* rng) {
   return vocabulary;
 }
 
-// Draws `count` words: the first via a Zipf over the vocabulary (to induce
-// skewed prefix blocks), the rest uniformly. With `mega_fraction` > 0 the
-// first word is pinned to the vocabulary head word with that probability
-// (the mega-block skew profile); the extra Bernoulli draw only happens when
-// the knob is on, so the default draw sequence is unchanged.
+// Draws `count` words: the first from `first_word`, a Zipf over the
+// vocabulary (to induce skewed prefix blocks), the rest uniformly. With
+// `mega_fraction` > 0 the first word is pinned to the vocabulary head word
+// with that probability (the mega-block skew profile); the extra Bernoulli
+// draw only happens when the knob is on, so the default draw sequence is
+// unchanged.
 std::string MakePhrase(const std::vector<std::string>& vocabulary,
-                       double first_word_zipf, int count, Rng* rng,
+                       const ZipfTable& first_word, int count, Rng* rng,
                        double mega_fraction = 0.0) {
   std::string phrase;
   for (int i = 0; i < count; ++i) {
@@ -47,8 +48,7 @@ std::string MakePhrase(const std::vector<std::string>& vocabulary,
     } else if (mega_fraction > 0.0 && rng->Bernoulli(mega_fraction)) {
       w = 0;
     } else {
-      w = static_cast<size_t>(rng->Zipf(
-          static_cast<int64_t>(vocabulary.size()), first_word_zipf));
+      w = static_cast<size_t>(first_word.Sample(rng));
     }
     phrase += vocabulary[w];
   }
@@ -59,12 +59,27 @@ std::string NumberString(Rng* rng, int64_t lo, int64_t hi) {
   return std::to_string(rng->UniformInt(lo, hi));
 }
 
+// The Zipf distributions a generator samples, each built once per call:
+// the first word of a venue or publisher phrase (exponent 1), the first
+// word of every other phrase, and a duplicate cluster's size beyond 2.
+struct ZipfTables {
+  ZipfTables(int64_t vocabulary_size, double first_word_zipf,
+             int max_cluster_size, double cluster_zipf)
+      : pool_word(vocabulary_size, 1.0),
+        first_word(vocabulary_size, first_word_zipf),
+        cluster_surplus(std::max(1, max_cluster_size - 1), cluster_zipf) {}
+
+  ZipfTable pool_word;
+  ZipfTable first_word;
+  ZipfTable cluster_surplus;
+};
+
 // Decides a duplicate-cluster size: 1 with probability 1 - duplicate_share,
 // otherwise 2 plus a Zipf-skewed surplus.
-int DrawClusterSize(double duplicate_share, double zipf, int max_size,
+int DrawClusterSize(double duplicate_share, const ZipfTable& surplus,
                     Rng* rng) {
   if (!rng->Bernoulli(duplicate_share)) return 1;
-  return 2 + static_cast<int>(rng->Zipf(std::max(1, max_size - 1), zipf));
+  return 2 + static_cast<int>(surplus.Sample(rng));
 }
 
 struct PendingEntity {
@@ -99,10 +114,14 @@ void GeneratePublicationsInto(const PublicationConfig& config, Rng* rng,
                               const EntitySink& sink) {
   const std::vector<std::string> vocabulary =
       BuildVocabulary(config.vocabulary_size, rng);
+  const ZipfTables zipf(static_cast<int64_t>(vocabulary.size()),
+                        config.first_word_zipf, config.max_cluster_size,
+                        config.cluster_zipf);
   std::vector<std::string> venues;
   venues.reserve(static_cast<size_t>(config.num_venues));
   for (int i = 0; i < config.num_venues; ++i) {
-    venues.push_back(MakePhrase(vocabulary, 1.0, 2, rng) + " conference");
+    venues.push_back(MakePhrase(vocabulary, zipf.pool_word, 2, rng) +
+                     " conference");
   }
 
   // The share of base records that receive duplicates, chosen so that
@@ -112,17 +131,16 @@ void GeneratePublicationsInto(const PublicationConfig& config, Rng* rng,
   while (produced < config.num_entities) {
     std::vector<std::string> base(3);
     base[kPubTitle] =
-        MakePhrase(vocabulary, config.first_word_zipf,
+        MakePhrase(vocabulary, zipf.first_word,
                    static_cast<int>(4 + rng->UniformU64(4)), rng,
                    config.mega_block_fraction);
     base[kPubAbstract] =
-        MakePhrase(vocabulary, config.first_word_zipf,
+        MakePhrase(vocabulary, zipf.first_word,
                    static_cast<int>(15 + rng->UniformU64(16)), rng);
     base[kPubVenue] = venues[rng->UniformU64(venues.size())];
 
     const int k = DrawClusterSize(config.duplicate_fraction / 2.0,
-                                  config.cluster_zipf,
-                                  config.max_cluster_size, rng);
+                                  zipf.cluster_surplus, rng);
     sink(base, cluster);
     ++produced;
     for (int c = 1; c < k && produced < config.num_entities; ++c) {
@@ -142,10 +160,14 @@ void GenerateBooksInto(const BookConfig& config, Rng* rng,
                        const EntitySink& sink) {
   const std::vector<std::string> vocabulary =
       BuildVocabulary(config.vocabulary_size, rng);
+  const ZipfTables zipf(static_cast<int64_t>(vocabulary.size()),
+                        config.first_word_zipf, config.max_cluster_size,
+                        config.cluster_zipf);
   std::vector<std::string> publishers;
   publishers.reserve(static_cast<size_t>(config.num_publishers));
   for (int i = 0; i < config.num_publishers; ++i) {
-    publishers.push_back(MakePhrase(vocabulary, 1.0, 1, rng) + " press");
+    publishers.push_back(MakePhrase(vocabulary, zipf.pool_word, 1, rng) +
+                         " press");
   }
   constexpr const char* kLanguages[] = {"english", "german",  "french",
                                         "spanish", "italian", "russian",
@@ -157,10 +179,9 @@ void GenerateBooksInto(const BookConfig& config, Rng* rng,
   while (produced < config.num_entities) {
     std::vector<std::string> base(8);
     base[kBookTitle] =
-        MakePhrase(vocabulary, config.first_word_zipf,
+        MakePhrase(vocabulary, zipf.first_word,
                    static_cast<int>(3 + rng->UniformU64(4)), rng);
-    base[kBookAuthors] = MakePhrase(vocabulary, config.first_word_zipf, 2,
-                                    rng);
+    base[kBookAuthors] = MakePhrase(vocabulary, zipf.first_word, 2, rng);
     base[kBookPublisher] = publishers[rng->UniformU64(publishers.size())];
     base[kBookYear] = NumberString(rng, 1950, 2020);
     base[kBookIsbn] = NumberString(rng, 1000000000000LL, 9999999999999LL);
@@ -169,8 +190,7 @@ void GenerateBooksInto(const BookConfig& config, Rng* rng,
     base[kBookEdition] = kEditions[rng->UniformU64(5)];
 
     const int k = DrawClusterSize(config.duplicate_fraction / 2.0,
-                                  config.cluster_zipf,
-                                  config.max_cluster_size, rng);
+                                  zipf.cluster_surplus, rng);
     sink(base, cluster);
     ++produced;
     for (int c = 1; c < k && produced < config.num_entities; ++c) {

@@ -20,7 +20,8 @@ class ProbabilityModel {
  public:
   // Builds the model from a labeled training dataset: forests are built over
   // `train`, each block's true duplicate-pair fraction is measured against
-  // `truth`, and per-bucket ratios are aggregated.
+  // `truth`, and per-bucket ratios are aggregated. `truth` must hold a
+  // cluster for every entity of `train`.
   static ProbabilityModel Train(const Dataset& train, const GroundTruth& truth,
                                 const BlockingConfig& config);
 

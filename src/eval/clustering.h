@@ -41,7 +41,8 @@ struct PairMetrics {
 PairMetrics EvaluateClustering(const std::vector<int32_t>& cluster_of,
                                const GroundTruth& truth);
 
-// Same metrics for a raw duplicate-pair set (no clustering step).
+// Same metrics for a raw duplicate-pair set (no clustering step). Every id
+// in `duplicates` must lie in [0, truth.num_entities()).
 PairMetrics EvaluatePairs(const std::vector<PairKey>& duplicates,
                           const GroundTruth& truth);
 

@@ -27,9 +27,26 @@ bool Dataset::SaveTsv(const std::string& path) const {
   return WriteTsv(path, rows);
 }
 
-bool Dataset::LoadTsv(const std::string& path, Dataset* out) {
+bool Dataset::LoadTsv(const std::string& path, Dataset* out,
+                      std::string* error) {
   std::vector<std::vector<std::string>> rows;
-  if (!ReadTsv(path, &rows) || rows.empty()) return false;
+  if (!ReadTsv(path, &rows)) {
+    *error = path + ": cannot be read";
+    return false;
+  }
+  if (rows.empty()) {
+    *error = path + ": empty file, expected a header row";
+    return false;
+  }
+  const size_t fields = rows.front().size();
+  for (size_t i = 1; i < rows.size(); ++i) {
+    if (rows[i].size() != fields) {
+      *error = path + ":" + std::to_string(i + 1) + ": " +
+               std::to_string(rows[i].size()) + " fields, the header has " +
+               std::to_string(fields);
+      return false;
+    }
+  }
   *out = Dataset(rows.front());
   for (size_t i = 1; i < rows.size(); ++i) out->Add(std::move(rows[i]));
   return true;

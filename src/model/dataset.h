@@ -35,8 +35,12 @@ class Dataset {
   // entity). Returns false on I/O failure.
   bool SaveTsv(const std::string& path) const;
 
-  // Loads a dataset previously written by SaveTsv. Returns false on failure.
-  static bool LoadTsv(const std::string& path, Dataset* out);
+  // Loads a dataset previously written by SaveTsv. On failure returns false
+  // and sets `*error` to a message naming `path` and, for a malformed row,
+  // its line: the file cannot be read, has no header row, or has a row
+  // whose field count differs from the header's.
+  static bool LoadTsv(const std::string& path, Dataset* out,
+                      std::string* error);
 
  private:
   std::vector<std::string> schema_;

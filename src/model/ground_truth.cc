@@ -2,6 +2,7 @@
 
 #include <unordered_map>
 
+#include "common/string_util.h"
 #include "common/tsv.h"
 
 namespace progres {
@@ -43,15 +44,45 @@ bool GroundTruth::SaveTsv(const std::string& path) const {
   return WriteTsv(path, rows);
 }
 
-bool GroundTruth::LoadTsv(const std::string& path, GroundTruth* out) {
+bool GroundTruth::LoadTsv(const std::string& path, GroundTruth* out,
+                          std::string* error) {
   std::vector<std::vector<std::string>> rows;
-  if (!ReadTsv(path, &rows)) return false;
+  if (!ReadTsv(path, &rows)) {
+    *error = path + ": cannot be read";
+    return false;
+  }
   std::vector<int32_t> cluster_of(rows.size(), 0);
-  for (const auto& row : rows) {
-    if (row.size() != 2) return false;
-    const size_t id = static_cast<size_t>(std::stol(row[0]));
-    if (id >= cluster_of.size()) return false;
-    cluster_of[id] = static_cast<int32_t>(std::stol(row[1]));
+  // The line that set each entity's cluster, 0 while none has.
+  std::vector<size_t> line_of(rows.size(), 0);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const std::vector<std::string>& row = rows[i];
+    const auto fail = [&](const std::string& what) {
+      *error = path + ":" + std::to_string(i + 1) + ": " + what;
+      return false;
+    };
+    int32_t id = 0;
+    int32_t cluster = 0;
+    if (row.size() != 2) {
+      return fail(std::to_string(row.size()) +
+                  " fields, expected 2 (entity_id, cluster_id)");
+    }
+    if (!ParseInt32(row[0], &id)) {
+      return fail("entity id '" + row[0] + "' is not an integer");
+    }
+    if (!ParseInt32(row[1], &cluster)) {
+      return fail("cluster id '" + row[1] + "' is not an integer");
+    }
+    if (id < 0 || static_cast<size_t>(id) >= rows.size()) {
+      return fail("entity id " + row[0] + " is outside [0, " +
+                  std::to_string(rows.size()) + "), the file's row count");
+    }
+    size_t& first = line_of[static_cast<size_t>(id)];
+    if (first != 0) {
+      return fail("entity id " + row[0] + " repeats line " +
+                  std::to_string(first));
+    }
+    first = i + 1;
+    cluster_of[static_cast<size_t>(id)] = cluster;
   }
   *out = GroundTruth(std::move(cluster_of));
   return true;

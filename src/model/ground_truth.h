@@ -43,7 +43,13 @@ class GroundTruth {
 
   // Persists as TSV (entity_id, cluster_id). Returns false on I/O failure.
   bool SaveTsv(const std::string& path) const;
-  static bool LoadTsv(const std::string& path, GroundTruth* out);
+
+  // Loads a file written by SaveTsv: one (entity_id, cluster_id) row per
+  // entity, so each id in [0, rows) appears exactly once and both fields
+  // are decimal integers. On failure returns false and sets `*error` to a
+  // message naming `path` and the offending line.
+  static bool LoadTsv(const std::string& path, GroundTruth* out,
+                      std::string* error);
 
  private:
   std::vector<int32_t> cluster_of_;

@@ -1,4 +1,5 @@
 #include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <set>
 #include <string>
@@ -86,12 +87,15 @@ TEST(RngTest, BernoulliApproximatesProbability) {
   EXPECT_NEAR(static_cast<double>(hits) / 100000.0, 0.3, 0.02);
 }
 
-TEST(RngTest, ZipfFavorsSmallIndexes) {
+// ---------------------------------------------------------------- Zipf
+
+TEST(ZipfTableTest, FavorsSmallIndexes) {
   Rng rng(23);
+  const ZipfTable zipf(100, 1.2);
   int64_t first = 0;
   int64_t last = 0;
   for (int i = 0; i < 100000; ++i) {
-    const int64_t v = rng.Zipf(100, 1.2);
+    const int64_t v = zipf.Sample(&rng);
     ASSERT_GE(v, 0);
     ASSERT_LT(v, 100);
     if (v == 0) ++first;
@@ -100,9 +104,49 @@ TEST(RngTest, ZipfFavorsSmallIndexes) {
   EXPECT_GT(first, 10 * (last + 1));
 }
 
-TEST(RngTest, ZipfSingleElement) {
+TEST(ZipfTableTest, SingleElement) {
   Rng rng(29);
-  EXPECT_EQ(rng.Zipf(1, 1.5), 0);
+  EXPECT_EQ(ZipfTable(1, 1.5).Sample(&rng), 0);
+}
+
+// The draw contract, checked against a CDF built here: each sample draws
+// exactly one UniformDouble() u and returns the first index whose
+// cumulative weight (1 / (i + 1)^s summed in index order, divided by the
+// total) is >= u, found by a linear scan. Tables of different sizes and
+// exponents are interleaved on one Rng, as the generators use them; an
+// n <= 1 table returns 0 and leaves the stream untouched.
+TEST(ZipfTableTest, MatchesIndependentCdfOnInterleavedDraws) {
+  const std::vector<std::pair<int64_t, double>> params = {
+      {2000, 1.1}, {11, 1.8}, {2000, 1.0}, {100, 1.2}, {1, 1.5}};
+  std::vector<ZipfTable> tables;
+  std::vector<std::vector<double>> cdfs;
+  for (const auto& [n, s] : params) {
+    tables.emplace_back(n, s);
+    std::vector<double> cdf;
+    double total = 0.0;
+    for (int64_t i = 1; i <= n; ++i) {
+      total += 1.0 / std::pow(static_cast<double>(i), s);
+      cdf.push_back(total);
+    }
+    for (double& c : cdf) c /= total;
+    cdfs.push_back(std::move(cdf));
+  }
+
+  Rng rng(31);
+  for (int call = 0; call < 20000; ++call) {
+    const size_t t = static_cast<size_t>(call) % params.size();
+    Rng expected_rng = rng;
+    int64_t expected = 0;
+    if (params[t].first > 1) {
+      const double u = expected_rng.UniformDouble();
+      while (cdfs[t][static_cast<size_t>(expected)] < u) ++expected;
+    }
+    ASSERT_EQ(tables[t].Sample(&rng), expected)
+        << "call " << call << ", Zipf(" << params[t].first << ", "
+        << params[t].second << ")";
+    ASSERT_EQ(Rng(rng).NextU64(), expected_rng.NextU64())
+        << "call " << call << " drew a different number of values";
+  }
 }
 
 // ---------------------------------------------------------------- strings
@@ -148,6 +192,20 @@ TEST(StringUtilTest, StartsWith) {
   EXPECT_FALSE(StartsWith("hello", "ello"));
   EXPECT_TRUE(StartsWith("x", ""));
   EXPECT_FALSE(StartsWith("", "x"));
+}
+
+TEST(StringUtilTest, ParseInt32WholeFieldOnly) {
+  int32_t v = 0;
+  EXPECT_TRUE(ParseInt32("42", &v));
+  EXPECT_EQ(v, 42);
+  EXPECT_TRUE(ParseInt32("-7", &v));
+  EXPECT_EQ(v, -7);
+  EXPECT_TRUE(ParseInt32("2147483647", &v));
+  EXPECT_EQ(v, 2147483647);
+  for (const char* bad : {"", "x", "1x", " 1", "1 ", "+1", "2147483648",
+                          "-2147483649", "1.5"}) {
+    EXPECT_FALSE(ParseInt32(bad, &v)) << "'" << bad << "'";
+  }
 }
 
 // ---------------------------------------------------------------- tsv

@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <cstdio>
 #include <map>
 #include <set>
 #include <unordered_map>
@@ -279,6 +280,80 @@ TEST(StreamGeneratorTest, ClusterMembersArriveAdjacent) {
     EXPECT_GE(order[i], order[i - 1]);
     EXPECT_LE(order[i], order[i - 1] + 1);
   }
+}
+
+// ---------------------------------------------------------------- digests
+
+// FNV-1a over every attribute value and cluster id in the order a
+// generator hands them out. Each value ends with a 0x1f byte and each
+// entity with 0x1e, so a byte moved across a field boundary shows.
+class EntityDigest {
+ public:
+  void Add(const std::vector<std::string>& attributes, int32_t cluster) {
+    for (const std::string& value : attributes) {
+      Bytes(value);
+      Byte(0x1f);
+    }
+    Bytes(std::to_string(cluster));
+    Byte(0x1e);
+  }
+
+  std::string hex() const {
+    char buf[17];
+    std::snprintf(buf, sizeof(buf), "%016llx",
+                  static_cast<unsigned long long>(hash_));
+    return buf;
+  }
+
+ private:
+  void Byte(unsigned char c) { hash_ = (hash_ ^ c) * 0x100000001b3ULL; }
+  void Bytes(const std::string& s) {
+    for (unsigned char c : s) Byte(c);
+  }
+
+  uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+std::string DatasetDigest(const LabeledDataset& data) {
+  EntityDigest digest;
+  for (EntityId i = 0; i < data.dataset.size(); ++i) {
+    digest.Add(data.dataset.entity(i).attributes, data.truth.cluster_of(i));
+  }
+  return digest.hex();
+}
+
+// Frozen generator output. Every dataset, ER golden and benchmark reference
+// digest follows from these draw sequences, so a change to any draw (its
+// order, its count or its arithmetic) shows here first. Each case is large
+// enough that cluster-size draws interleave with word draws many times.
+TEST(GeneratorDigestTest, Publications) {
+  PublicationConfig config;
+  config.num_entities = 3000;
+  EXPECT_EQ(DatasetDigest(GeneratePublications(config)), "33ed9c1b39e6bf1b");
+}
+
+TEST(GeneratorDigestTest, MegaBlockPublications) {
+  PublicationConfig config;
+  config.num_entities = 3000;
+  config.mega_block_fraction = 0.3;
+  EXPECT_EQ(DatasetDigest(GeneratePublications(config)), "77ed659919a7679e");
+}
+
+TEST(GeneratorDigestTest, Books) {
+  BookConfig config;
+  config.num_entities = 3000;
+  EXPECT_EQ(DatasetDigest(GenerateBooks(config)), "1437e1bb9609fb09");
+}
+
+TEST(GeneratorDigestTest, StreamedPublications) {
+  PublicationConfig config;
+  config.num_entities = 3000;
+  EntityDigest digest;
+  StreamPublications(config, [&](std::vector<std::string> attributes,
+                                 int32_t cluster) {
+    digest.Add(attributes, cluster);
+  });
+  EXPECT_EQ(digest.hex(), "a89651f071cf6d43");
 }
 
 // ---------------------------------------------------------------- toy

@@ -1,6 +1,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -60,12 +62,49 @@ TEST(DatasetTest, TsvRoundTrip) {
   const std::string path = testing::TempDir() + "/progres_dataset.tsv";
   ASSERT_TRUE(d.SaveTsv(path));
   Dataset loaded;
-  ASSERT_TRUE(Dataset::LoadTsv(path, &loaded));
+  std::string error;
+  ASSERT_TRUE(Dataset::LoadTsv(path, &loaded, &error)) << error;
   ASSERT_EQ(loaded.size(), 2);
   EXPECT_EQ(loaded.schema(), d.schema());
   EXPECT_EQ(loaded.entity(0).attributes, d.entity(0).attributes);
   EXPECT_EQ(loaded.entity(1).attributes, d.entity(1).attributes);
   std::remove(path.c_str());
+}
+
+// Writes `content` to a fresh file under the test temp dir.
+std::string WriteFile(const std::string& name, const std::string& content) {
+  const std::string path = testing::TempDir() + "/" + name;
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  EXPECT_NE(f, nullptr);
+  std::fwrite(content.data(), 1, content.size(), f);
+  std::fclose(f);
+  return path;
+}
+
+// A row with more or fewer fields than the header fails with an error that
+// names the file and the row's line.
+TEST(DatasetTest, RowFieldCountMustMatchHeader) {
+  for (const std::string bad_row : {"p\tq\tr\ts", "p\tq"}) {
+    const std::string path = WriteFile("progres_bad_rows.tsv",
+                                       "a\tb\tc\nx\ty\tz\n" + bad_row + "\n");
+    Dataset loaded;
+    std::string error;
+    EXPECT_FALSE(Dataset::LoadTsv(path, &loaded, &error)) << bad_row;
+    EXPECT_NE(error.find(path + ":3:"), std::string::npos) << error;
+    std::remove(path.c_str());
+  }
+}
+
+TEST(DatasetTest, EmptyOrMissingFileIsLabelled) {
+  const std::string path = WriteFile("progres_empty.tsv", "");
+  Dataset loaded;
+  std::string error;
+  EXPECT_FALSE(Dataset::LoadTsv(path, &loaded, &error));
+  EXPECT_NE(error.find(path), std::string::npos) << error;
+  std::remove(path.c_str());
+  error.clear();
+  EXPECT_FALSE(Dataset::LoadTsv(path, &loaded, &error));
+  EXPECT_NE(error.find(path), std::string::npos) << error;
 }
 
 // ---------------------------------------------------------------- truth
@@ -92,12 +131,35 @@ TEST(GroundTruthTest, TsvRoundTrip) {
   const std::string path = testing::TempDir() + "/progres_truth.tsv";
   ASSERT_TRUE(truth.SaveTsv(path));
   GroundTruth loaded;
-  ASSERT_TRUE(GroundTruth::LoadTsv(path, &loaded));
+  std::string error;
+  ASSERT_TRUE(GroundTruth::LoadTsv(path, &loaded, &error)) << error;
   EXPECT_EQ(loaded.num_entities(), 3);
   EXPECT_EQ(loaded.num_duplicate_pairs(), 1);
   EXPECT_TRUE(loaded.IsDuplicate(0, 1));
   EXPECT_FALSE(loaded.IsDuplicate(0, 2));
   std::remove(path.c_str());
+}
+
+// Each malformed truth file fails with an error naming the file and the
+// offending line, instead of throwing or misassigning a cluster.
+TEST(GroundTruthTest, LoadRejectsMalformedRows) {
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"0\t5\n1\tx\n", ":2:"},             // non-numeric cluster id
+      {"0\t5\nabc\t5\n", ":2:"},           // non-numeric entity id
+      {"0\t5\n0\t6\n", ":2:"},             // repeated entity id
+      {"0\t5\n2\t6\n", ":2:"},             // id past the row count
+      {"-1\t5\n0\t6\n", ":1:"},            // negative id
+      {"0\t5\n1\t6\t7\n", ":2:"},          // extra field
+      {"0\t5\n1\t99999999999\n", ":2:"}};  // cluster id out of range
+  for (const auto& [content, line] : cases) {
+    const std::string path = WriteFile("progres_bad_truth.tsv", content);
+    GroundTruth loaded;
+    std::string error;
+    EXPECT_FALSE(GroundTruth::LoadTsv(path, &loaded, &error)) << content;
+    EXPECT_NE(error.find(path + line), std::string::npos)
+        << content << " -> " << error;
+    std::remove(path.c_str());
+  }
 }
 
 // ---------------------------------------------------------------- unionfind

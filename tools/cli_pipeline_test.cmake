@@ -101,6 +101,63 @@ foreach(bad_alpha 0 abc)
   message(STATUS "--alpha=${bad_alpha} rejected: ${err}")
 endforeach()
 
+# Malformed truth, pairs, training and data files fail with exit 1 and an
+# error that names the file and the offending line or entity id, instead of
+# an uncaught exception, a crash or silently wrong metrics.
+function(expect_labelled_error pattern)
+  execute_process(COMMAND ${CLI} ${ARGN} RESULT_VARIABLE code
+                  OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT code EQUAL 1)
+    message(FATAL_ERROR
+            "progres_cli ${ARGN} should exit 1, got ${code}: ${out}${err}")
+  endif()
+  if(NOT err MATCHES "${pattern}")
+    message(FATAL_ERROR "progres_cli ${ARGN}: error does not match "
+            "'${pattern}': ${err}")
+  endif()
+  message(STATUS "rejected: ${err}")
+endfunction()
+
+file(WRITE ${WORK}/truth_nonnumeric.tsv "0\t0\n1\tx\n")
+file(WRITE ${WORK}/truth_repeat.tsv "0\t0\n0\t1\n")
+foreach(bad_truth truth_nonnumeric truth_repeat)
+  expect_labelled_error("--truth: .*${bad_truth}[.]tsv:2:"
+                        evaluate --pairs=${WORK}/pairs.tsv
+                        --truth=${WORK}/${bad_truth}.tsv)
+endforeach()
+
+# Pairs are scored against truth.tsv's 2000 entities.
+file(WRITE ${WORK}/pairs_nonnumeric.tsv "0\t1\nfoo\t2\n")
+file(WRITE ${WORK}/pairs_past_end.tsv "0\t1\n5\t2000000\n")
+file(WRITE ${WORK}/pairs_negative.tsv "0\t1\n-1\t3\n")
+file(WRITE ${WORK}/pairs_self.tsv "0\t1\n1\t1\n")
+foreach(bad_pairs pairs_nonnumeric pairs_past_end pairs_negative pairs_self)
+  expect_labelled_error("--pairs: .*${bad_pairs}[.]tsv:2:"
+                        evaluate --pairs=${WORK}/${bad_pairs}.tsv
+                        --truth=${WORK}/truth.tsv)
+endforeach()
+
+# A training truth with fewer rows than --train has entities.
+file(STRINGS ${WORK}/train_truth.tsv train_truth_rows LIMIT_COUNT 20)
+list(JOIN train_truth_rows "\n" train_truth_20)
+file(WRITE ${WORK}/train_truth_20.tsv "${train_truth_20}\n")
+expect_labelled_error("train_truth_20[.]tsv has 20 rows.*entity 20"
+                      resolve --data=${WORK}/data.tsv
+                      --train=${WORK}/train.tsv
+                      --train-truth=${WORK}/train_truth_20.tsv --machines=4
+                      --out=${WORK}/pairs_reject.tsv)
+
+# Data rows must have as many fields as the header.
+file(WRITE ${WORK}/rows_extra.tsv
+     "title\tabstract\tvenue\na b\tc d\te f\ng h\ti j\tk l\tm\n")
+file(WRITE ${WORK}/rows_short.tsv
+     "title\tabstract\tvenue\na b\tc d\te f\ng h\ti j\n")
+foreach(bad_data rows_extra rows_short)
+  expect_labelled_error("--data: .*${bad_data}[.]tsv:3:"
+                        resolve --data=${WORK}/${bad_data}.tsv --basic
+                        --machines=4 --out=${WORK}/pairs_reject.tsv)
+endforeach()
+
 # Disk-fault flags smoke: the storage-fault flags and a fallback dir must
 # leave the resolved pairs byte-identical to the fault-free run. No
 # --shuffle-max-mem value makes a resolve this small spill (each map task

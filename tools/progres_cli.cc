@@ -42,6 +42,7 @@
 #include <vector>
 
 #include "blocking/forest_io.h"
+#include "common/string_util.h"
 #include "common/tsv.h"
 #include "core/basic_er.h"
 #include "core/progressive_er.h"
@@ -172,13 +173,78 @@ bool SavePairs(const std::string& path, const std::vector<PairKey>& pairs) {
   return WriteTsv(path, rows);
 }
 
-bool LoadPairs(const std::string& path, std::vector<PairKey>* pairs) {
+// Reads a pairs file, two entity ids per line, to score against a truth of
+// `num_entities` entities: each id must lie in [0, num_entities) and the
+// two ids of a pair must differ. On failure sets `*error` to a message
+// naming `path` and the offending line.
+bool LoadPairs(const std::string& path, int64_t num_entities,
+               std::vector<PairKey>* pairs, std::string* error) {
   std::vector<std::vector<std::string>> rows;
-  if (!ReadTsv(path, &rows)) return false;
+  if (!ReadTsv(path, &rows)) {
+    *error = path + ": cannot be read";
+    return false;
+  }
   pairs->clear();
-  for (const auto& row : rows) {
-    if (row.size() != 2) return false;
-    pairs->push_back(MakePairKey(std::stoi(row[0]), std::stoi(row[1])));
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const std::vector<std::string>& row = rows[i];
+    const auto fail = [&](const std::string& what) {
+      *error = path + ":" + std::to_string(i + 1) + ": " + what;
+      return false;
+    };
+    EntityId a = 0;
+    EntityId b = 0;
+    if (row.size() != 2 || !ParseInt32(row[0], &a) ||
+        !ParseInt32(row[1], &b)) {
+      return fail("expected two integer entity ids");
+    }
+    for (const EntityId id : {a, b}) {
+      if (id < 0 || id >= num_entities) {
+        return fail("entity id " + std::to_string(id) +
+                    " is outside the truth's [0, " +
+                    std::to_string(num_entities) + ")");
+      }
+    }
+    if (a == b) {
+      return fail("entity " + std::to_string(a) + " paired with itself");
+    }
+    pairs->push_back(MakePairKey(a, b));
+  }
+  return true;
+}
+
+// Loads --data; on failure prints a labelled error and returns false.
+bool LoadData(const std::map<std::string, std::string>& flags,
+              Dataset* dataset) {
+  std::string error;
+  if (!Dataset::LoadTsv(RequireFlag(flags, "data"), dataset, &error)) {
+    std::fprintf(stderr, "failed to read --data: %s\n", error.c_str());
+    return false;
+  }
+  return true;
+}
+
+// Loads --train and --train-truth. The probability model looks up every
+// training entity's cluster, so the truth must hold exactly one row per
+// entity of --train. On failure prints a labelled error and returns false.
+bool LoadTraining(const std::map<std::string, std::string>& flags,
+                  Dataset* train, GroundTruth* truth) {
+  const std::string train_path = RequireFlag(flags, "train");
+  const std::string truth_path = RequireFlag(flags, "train-truth");
+  std::string error;
+  if (!Dataset::LoadTsv(train_path, train, &error) ||
+      !GroundTruth::LoadTsv(truth_path, truth, &error)) {
+    std::fprintf(stderr, "failed to read training data: %s\n", error.c_str());
+    return false;
+  }
+  const long long rows = truth->num_entities();
+  const long long entities = train->size();
+  if (rows != entities) {
+    std::fprintf(stderr,
+                 "failed to read training data: %s has %lld rows but %s "
+                 "holds %lld entities (entity %lld is in one file only)\n",
+                 truth_path.c_str(), rows, train_path.c_str(), entities,
+                 std::min(rows, entities));
+    return false;
   }
   return true;
 }
@@ -223,10 +289,7 @@ int CmdGenerate(const std::map<std::string, std::string>& flags) {
 
 int CmdStats(const std::map<std::string, std::string>& flags) {
   Dataset dataset;
-  if (!Dataset::LoadTsv(RequireFlag(flags, "data"), &dataset)) {
-    std::fprintf(stderr, "failed to read --data\n");
-    return 1;
-  }
+  if (!LoadData(flags, &dataset)) return 1;
   PipelineConfig config;
   if (!ConfigForSchema(dataset, &config)) {
     std::fprintf(stderr, "unrecognized schema\n");
@@ -250,10 +313,7 @@ int CmdStats(const std::map<std::string, std::string>& flags) {
 
 int CmdResolve(const std::map<std::string, std::string>& flags) {
   Dataset dataset;
-  if (!Dataset::LoadTsv(RequireFlag(flags, "data"), &dataset)) {
-    std::fprintf(stderr, "failed to read --data\n");
-    return 1;
-  }
+  if (!LoadData(flags, &dataset)) return 1;
   PipelineConfig config;
   if (!ConfigForSchema(dataset, &config)) {
     std::fprintf(stderr, "unrecognized schema\n");
@@ -468,12 +528,7 @@ int CmdResolve(const std::map<std::string, std::string>& flags) {
   } else {
     Dataset train;
     GroundTruth train_truth;
-    if (!Dataset::LoadTsv(RequireFlag(flags, "train"), &train) ||
-        !GroundTruth::LoadTsv(RequireFlag(flags, "train-truth"),
-                              &train_truth)) {
-      std::fprintf(stderr, "failed to read training data\n");
-      return 1;
-    }
+    if (!LoadTraining(flags, &train, &train_truth)) return 1;
     const ProbabilityModel prob =
         ProbabilityModel::Train(train, train_truth, config.blocking);
     ProgressiveErOptions options;
@@ -563,10 +618,7 @@ int CmdResolve(const std::map<std::string, std::string>& flags) {
 // Prints the generated progressive schedule for inspection.
 int CmdExplain(const std::map<std::string, std::string>& flags) {
   Dataset dataset;
-  if (!Dataset::LoadTsv(RequireFlag(flags, "data"), &dataset)) {
-    std::fprintf(stderr, "failed to read --data\n");
-    return 1;
-  }
+  if (!LoadData(flags, &dataset)) return 1;
   PipelineConfig config;
   if (!ConfigForSchema(dataset, &config)) {
     std::fprintf(stderr, "unrecognized schema\n");
@@ -574,11 +626,7 @@ int CmdExplain(const std::map<std::string, std::string>& flags) {
   }
   Dataset train;
   GroundTruth train_truth;
-  if (!Dataset::LoadTsv(RequireFlag(flags, "train"), &train) ||
-      !GroundTruth::LoadTsv(RequireFlag(flags, "train-truth"), &train_truth)) {
-    std::fprintf(stderr, "failed to read training data\n");
-    return 1;
-  }
+  if (!LoadTraining(flags, &train, &train_truth)) return 1;
   const ProbabilityModel prob =
       ProbabilityModel::Train(train, train_truth, config.blocking);
   const SortedNeighborMechanism sn;
@@ -604,14 +652,16 @@ int CmdExplain(const std::map<std::string, std::string>& flags) {
 }
 
 int CmdEvaluate(const std::map<std::string, std::string>& flags) {
-  std::vector<PairKey> pairs;
-  if (!LoadPairs(RequireFlag(flags, "pairs"), &pairs)) {
-    std::fprintf(stderr, "failed to read --pairs\n");
+  GroundTruth truth;
+  std::string error;
+  if (!GroundTruth::LoadTsv(RequireFlag(flags, "truth"), &truth, &error)) {
+    std::fprintf(stderr, "failed to read --truth: %s\n", error.c_str());
     return 1;
   }
-  GroundTruth truth;
-  if (!GroundTruth::LoadTsv(RequireFlag(flags, "truth"), &truth)) {
-    std::fprintf(stderr, "failed to read --truth\n");
+  std::vector<PairKey> pairs;
+  if (!LoadPairs(RequireFlag(flags, "pairs"), truth.num_entities(), &pairs,
+                 &error)) {
+    std::fprintf(stderr, "failed to read --pairs: %s\n", error.c_str());
     return 1;
   }
   const PairMetrics pair_metrics = EvaluatePairs(pairs, truth);
